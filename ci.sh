@@ -267,6 +267,33 @@ grep -q '^    attempts: [1-9]' "$EXPLAIN_ROOT/stats.txt"
 grep -q '^    completed: [0-9]' "$EXPLAIN_ROOT/stats.txt"
 echo "ok: explain funnel reconciles exactly (report at target/EXPLAIN_scan.json)"
 
+echo "== -j determinism on the binary (-j 1 vs -j 4: stdout + masked report) =="
+JDET_ROOT="target/jdet-e2e"
+rm -rf "$JDET_ROOT"
+mkdir -p "$JDET_ROOT"
+# Scheduling must not leak into output: the same run at -j 1 and -j 4
+# prints byte-identical stdout, and its JSON report differs only in
+# timings and the recorded thread count.
+mask_report() {
+  sed -E 's/"(total_)?seconds": [^,}]*/"\1seconds": 0/g; s/"threads": [0-9]+/"threads": 0/' "$1"
+}
+jdet() {
+  local name="$1"
+  shift
+  for j in 1 4; do
+    "$SPATCH" "$@" -j "$j" --quiet --report "$JDET_ROOT/$name.j$j.json" \
+      > "$JDET_ROOT/$name.j$j.out"
+    mask_report "$JDET_ROOT/$name.j$j.json" > "$JDET_ROOT/$name.j$j.masked"
+  done
+  test -s "$JDET_ROOT/$name.j1.masked"
+  cmp "$JDET_ROOT/$name.j1.out" "$JDET_ROOT/$name.j4.out"
+  diff "$JDET_ROOT/$name.j1.masked" "$JDET_ROOT/$name.j4.masked"
+}
+jdet scan-matrix scan --rules "$SCAN_ROOT/rules" "$SCAN_ROOT/corpus"
+jdet scan-trace scan --rules "$TRACE_ROOT/rules" "$TRACE_ROOT/corpus"
+jdet report-scan --sp-file "$RPT_ROOT/corpus/scan.cocci" --mode report "$RPT_ROOT/corpus"
+echo "ok: -j 1 and -j 4 agree on stdout and masked reports (scan matrix, trace rules, report mode)"
+
 echo "== rule lint (every CI rule set must be deny-clean) =="
 # The rule_matrix rules are property-tested lint-clean, so the merged
 # scan set must produce zero findings of any level; the trace rules add

@@ -71,8 +71,9 @@ mod diff;
 mod telemetry;
 
 use cocci_core::corpus::{apply_to_corpus_resumed, CorpusOptions, WalkSource};
+use cocci_core::explain::RuleAttempt;
 use cocci_core::scan::scan_corpus;
-use cocci_core::{ApplyReport, CompiledRuleSet, ExplainConfig, RunMetrics, SarifRule};
+use cocci_core::{ApplyReport, CompiledRuleSet, ExplainConfig, FileStatus, RunMetrics, SarifRule};
 use cocci_lint::{
     has_deny, lint_duplicates, lint_patch, lint_ruleset, Lint, LintConfig, LintLevel,
 };
@@ -101,6 +102,7 @@ enum Format {
     Sarif,
 }
 
+#[derive(Default)]
 struct Args {
     /// `spatch scan ...` — rule-collection scan mode.
     scan: bool,
@@ -164,58 +166,39 @@ fn lint_config(args: &Args) -> Result<LintConfig, ExitCode> {
 }
 
 fn parse_args() -> Args {
-    let mut scan = false;
-    let mut lint = false;
-    let mut no_lint = false;
-    let mut lint_overrides = Vec::new();
-    let mut rules = None;
-    let mut sp_file = None;
-    let mut targets = Vec::new();
-    let mut in_place = false;
-    let mut output = None;
-    let mut threads = 0usize;
-    let mut quiet = false;
-    let mut report = None;
-    let mut resume = None;
-    let mut timeout_ms = None;
-    let mut ignore: Vec<String> = Vec::new();
-    let mut no_prefilter = false;
-    let mut no_flow = false;
-    let mut mode = None;
-    let mut format = None;
-    let mut trace_out = None;
-    let mut stats = false;
-    let mut explain = None;
+    let mut a = Args::default();
     let mut it = std::env::args().skip(1).peekable();
     match it.peek().map(String::as_str) {
         Some("scan") => {
-            scan = true;
+            a.scan = true;
             it.next();
         }
         Some("lint") => {
-            lint = true;
+            a.lint = true;
             it.next();
         }
         _ => {}
     }
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--rules" if scan => rules = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--sp-file" if !scan && !lint => {
-                sp_file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+            "--rules" if a.scan => {
+                a.rules = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--deny" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Deny))
+            "--sp-file" if !a.scan && !a.lint => {
+                a.sp_file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--warn" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Warn))
-            }
-            "--allow" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Allow))
-            }
-            "--no-lint" if !lint => no_lint = true,
-            "--mode" if !scan && !lint => {
-                mode = Some(match it.next().as_deref() {
+            "--deny" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Deny)),
+            "--warn" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Warn)),
+            "--allow" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Allow)),
+            "--no-lint" if !a.lint => a.no_lint = true,
+            "--mode" if !a.scan && !a.lint => {
+                a.mode = Some(match it.next().as_deref() {
                     Some("patch") => Mode::Patch,
                     Some("report") => Mode::Report,
                     other => {
@@ -225,7 +208,7 @@ fn parse_args() -> Args {
                 })
             }
             "--format" => {
-                format = Some(match it.next().as_deref() {
+                a.format = Some(match it.next().as_deref() {
                     Some("text") => Format::Text,
                     Some("json") => Format::Json,
                     Some("sarif") => Format::Sarif,
@@ -235,98 +218,80 @@ fn parse_args() -> Args {
                     }
                 })
             }
-            "--in-place" if !scan && !lint => in_place = true,
-            "-o" if !scan && !lint => {
-                output = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+            "--in-place" if !a.scan && !a.lint => a.in_place = true,
+            "-o" if !a.scan && !a.lint => {
+                a.output = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
             "-j" | "--jobs" => {
-                threads = it
+                a.threads = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--report" => report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--resume" => resume = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--report" => a.report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--resume" => a.resume = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--timeout-ms" => {
-                timeout_ms = Some(
+                a.timeout_ms = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage()),
                 )
             }
-            "--ignore" => ignore.push(it.next().unwrap_or_else(|| usage())),
-            "--no-prefilter" => no_prefilter = true,
-            "--no-flow" => no_flow = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--stats" => stats = true,
-            "--explain" if !lint => explain = Some(String::new()),
-            other if other.starts_with("--explain=") && !lint => {
-                explain = Some(other["--explain=".len()..].to_string())
+            "--ignore" => a.ignore.push(it.next().unwrap_or_else(|| usage())),
+            "--no-prefilter" => a.no_prefilter = true,
+            "--no-flow" => a.no_flow = true,
+            "--trace-out" => {
+                a.trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--quiet" => quiet = true,
+            "--stats" => a.stats = true,
+            "--explain" if !a.lint => a.explain = Some(String::new()),
+            other if other.starts_with("--explain=") && !a.lint => {
+                a.explain = Some(other["--explain=".len()..].to_string())
+            }
+            "--quiet" => a.quiet = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 eprintln!("unknown option: {other}");
                 usage();
             }
-            other => targets.push(PathBuf::from(other)),
+            other => a.targets.push(PathBuf::from(other)),
         }
     }
-    if scan {
-        if rules.is_none() {
+    if a.scan {
+        if a.rules.is_none() {
             eprintln!("spatch: scan mode requires --rules <dir>");
             usage();
         }
-    } else if lint {
-        if targets.len() != 1 {
+    } else if a.lint {
+        if a.targets.len() != 1 {
             eprintln!("spatch: lint mode takes exactly one patch file or rules directory");
             usage();
         }
-    } else if sp_file.is_none() {
+    } else if a.sp_file.is_none() {
         usage();
     }
-    if targets.is_empty() {
+    if a.targets.is_empty() {
         usage();
     }
     // `--ignore` repeated with the identical pattern used to stack the
     // duplicate into the walker's pattern list (and re-evaluate it per
     // path); exact duplicates collapse, first occurrence wins.
     let mut seen = std::collections::HashSet::new();
-    ignore.retain(|p| seen.insert(p.clone()));
-    Args {
-        scan,
-        lint,
-        no_lint,
-        lint_overrides,
-        rules,
-        sp_file,
-        targets,
-        in_place,
-        output,
-        threads,
-        quiet,
-        report,
-        resume,
-        timeout_ms,
-        ignore,
-        no_prefilter,
-        no_flow,
-        mode,
-        format,
-        trace_out,
-        stats,
-        explain,
-    }
+    a.ignore.retain(|p| seen.insert(p.clone()));
+    a
 }
 
-/// Load `--resume`'s previous report, refusing one produced by a
-/// different patch / rule set (`expected_hash` mismatch): skipping
-/// "unchanged" files is only sound against the very same rules.
+/// Load `--resume`'s previous report, if one was given, refusing one
+/// produced by a different patch / rule set (`expected_hash` mismatch):
+/// skipping "unchanged" files is only sound against the very same rules.
 fn load_resume(
-    path: &std::path::Path,
+    args: &Args,
     expected_hash: u64,
     what: &str,
-) -> Result<ApplyReport, ExitCode> {
+) -> Result<Option<ApplyReport>, ExitCode> {
+    let Some(path) = &args.resume else {
+        return Ok(None);
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -356,28 +321,160 @@ fn load_resume(
         );
         return Err(ExitCode::from(2));
     }
-    Ok(r)
+    Ok(Some(r))
 }
 
-/// The `--explain` annotation body for one attempt: `rule [stage]`
-/// plus the detail when one was traced.
-fn attempt_line(a: &cocci_core::explain::RuleAttempt) -> String {
-    match &a.detail {
-        Some(d) => format!("{} [{}] {d}", a.rule, a.stage),
-        None => format!("{} [{}]", a.rule, a.stage),
+/// Lint the rules at load time, before the corpus is touched (skipped
+/// under `--no-lint`). Deny lines always go to stderr, warn lines unless
+/// `--quiet`; deny-level findings refuse the run.
+fn load_lints(
+    args: &Args,
+    path: &std::path::Path,
+    what: &str,
+    lint: impl FnOnce(&LintConfig) -> Vec<Lint>,
+) -> Result<Vec<Lint>, ExitCode> {
+    if args.no_lint {
+        return Ok(Vec::new());
     }
-}
-
-/// Print load-time lint diagnostics to stderr (deny lines always, warn
-/// lines unless `--quiet`) and return `true` when deny-level findings
-/// must refuse the run.
-fn report_load_lints(lints: &[Lint], quiet: bool) -> bool {
-    for l in lints {
-        if l.level == LintLevel::Deny || !quiet {
+    let lints = lint(&lint_config(args)?);
+    for l in &lints {
+        if l.level == LintLevel::Deny || !args.quiet {
             eprintln!("spatch: lint [{}]: {}", l.level, l.finding.text_line());
         }
     }
-    has_deny(lints)
+    if has_deny(&lints) {
+        eprintln!(
+            "spatch: {}: deny-level lint findings; fix the {what} or pass --no-lint",
+            path.display()
+        );
+        return Err(ExitCode::from(2));
+    }
+    Ok(lints)
+}
+
+/// Per-file progress shared by the scan and apply sinks: the heartbeat
+/// and the `--explain` stderr annotation.
+struct Progress {
+    heartbeat: telemetry::Heartbeat,
+    explain: Option<Arc<ExplainConfig>>,
+    quiet: bool,
+}
+
+impl Progress {
+    /// Count one finished file and, under `--explain`, print its traced
+    /// attempts as `rule [stage] detail`.
+    fn file(&mut self, name: &str, findings: usize, attempts: &[RuleAttempt]) {
+        self.heartbeat.tick(findings);
+        let Some(cfg) = self.explain.as_deref().filter(|_| !self.quiet) else {
+            return;
+        };
+        for a in attempts.iter().filter(|a| cfg.matches(name, &a.rule)) {
+            match &a.detail {
+                Some(d) => eprintln!("spatch: explain: {name}: {} [{}] {d}", a.rule, a.stage),
+                None => eprintln!("spatch: explain: {name}: {} [{}]", a.rule, a.stage),
+            }
+        }
+    }
+}
+
+/// Start a corpus run: parse `--explain`, switch telemetry on, discover
+/// the targets, and build the driver options and the progress display.
+fn start_run(args: &Args) -> (WalkSource, CorpusOptions, Progress) {
+    let explain = args
+        .explain
+        .as_deref()
+        .map(|spec| Arc::new(ExplainConfig::parse(spec)));
+    telemetry::init(args.trace_out.as_deref(), args.stats, explain.is_some());
+    let source = WalkSource::discover(&args.targets, &args.ignore);
+    let progress = Progress {
+        heartbeat: telemetry::Heartbeat::new(source.remaining(), args.quiet),
+        explain: explain.clone(),
+        quiet: args.quiet,
+    };
+    let opts = CorpusOptions {
+        threads: args.threads,
+        no_prefilter: args.no_prefilter,
+        no_flow: args.no_flow,
+        timeout_ms: args.timeout_ms,
+        explain,
+        ..Default::default()
+    };
+    (source, opts, progress)
+}
+
+/// The post-run tail shared by scan and apply: the trace file, `--stats`,
+/// one stderr line per failed or timed-out file, the resume note, and
+/// the `--report` write. Returns the failure count.
+fn finish_run(args: &Args, report: &ApplyReport) -> usize {
+    if let Some(path) = &args.trace_out {
+        if let Err(e) = telemetry::write_trace(path) {
+            eprintln!("spatch: cannot write trace {}: {e}", path.display());
+        } else if !args.quiet {
+            eprintln!("spatch: trace written to {}", path.display());
+        }
+    }
+    if args.stats {
+        telemetry::print_stats(report);
+    }
+    // Every failed file — parse/rewrite/write errors and unreadable paths
+    // alike — is in the report exactly once; report them from there.
+    // Timeouts are warnings, not failures: the whole point of the budget
+    // is that one pathological file must not sink the corpus run.
+    let mut failures = 0usize;
+    for f in &report.files {
+        let fallback = match f.status {
+            FileStatus::Error => {
+                failures += 1;
+                "unknown error"
+            }
+            FileStatus::Timeout => "timed out",
+            _ => continue,
+        };
+        eprintln!(
+            "spatch: {}: {}",
+            f.name,
+            f.error.as_deref().unwrap_or(fallback)
+        );
+    }
+    if let (Some(path), true) = (&args.resume, report.resumed > 0 && !args.quiet) {
+        eprintln!(
+            "spatch: resumed: {} unchanged file(s) skipped via {}",
+            report.resumed,
+            path.display()
+        );
+    }
+    if let Some(path) = &args.report {
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("spatch: cannot write report {}: {e}", path.display());
+            failures += 1;
+        } else if !args.quiet {
+            eprintln!("spatch: report written to {}", path.display());
+        }
+    }
+    failures
+}
+
+/// Print the findings in `--format` (text by default): grep-style lines,
+/// the whole report as JSON (findings embedded), or the SARIF document
+/// that `sarif` renders.
+fn print_findings(args: &Args, report: &ApplyReport, sarif: impl FnOnce() -> String) {
+    match args.format.unwrap_or(Format::Text) {
+        Format::Text => {
+            for fd in report.files.iter().flat_map(|f| &f.findings) {
+                println!("{}", fd.text_line());
+            }
+        }
+        Format::Json => print!("{}", report.to_json()),
+        Format::Sarif => print!("{}", sarif()),
+    }
+}
+
+fn exit_code(failures: usize) -> ExitCode {
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// `spatch lint <patch.cocci|rules-dir>`: static analysis of the rules
@@ -545,64 +642,25 @@ fn run_scan(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Lint the rules before touching the corpus: a rule that can never
-    // match (or never bind) should fail here, not hours into a walk.
-    let lints = if args.no_lint {
-        Vec::new()
-    } else {
-        let cfg = match lint_config(args) {
-            Ok(c) => c,
-            Err(code) => return code,
-        };
-        lint_ruleset(&set, &cfg)
+    // A rule that can never match (or never bind) should fail here, not
+    // hours into a walk.
+    let lints = match load_lints(args, rules_dir, "rules", |cfg| lint_ruleset(&set, cfg)) {
+        Ok(l) => l,
+        Err(code) => return code,
     };
-    if report_load_lints(&lints, args.quiet) {
-        eprintln!(
-            "spatch: {}: deny-level lint findings; fix the rules or pass --no-lint",
-            rules_dir.display()
-        );
-        return ExitCode::from(2);
-    }
-    let previous = match &args.resume {
-        Some(path) => match load_resume(path, set.hash, "rule set") {
-            Ok(r) => Some(r),
-            Err(code) => return code,
-        },
-        None => None,
+    let previous = match load_resume(args, set.hash, "rule set") {
+        Ok(p) => p,
+        Err(code) => return code,
     };
-    let explain_cfg = args
-        .explain
-        .as_deref()
-        .map(|spec| Arc::new(ExplainConfig::parse(spec)));
-    telemetry::init(args.trace_out.as_deref(), args.stats, explain_cfg.is_some());
-    let mut source = WalkSource::discover(&args.targets, &args.ignore);
-    let opts = CorpusOptions {
-        threads: args.threads,
-        no_prefilter: args.no_prefilter,
-        no_flow: args.no_flow,
-        timeout_ms: args.timeout_ms,
-        explain: explain_cfg.clone(),
-        ..Default::default()
-    };
+    let (mut source, opts, mut progress) = start_run(args);
     let quiet = args.quiet;
-    let explain_cfg = &explain_cfg;
-    let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), quiet);
     let run = scan_corpus(
         &set,
         &mut source,
         &opts,
         previous.as_ref(),
         |name, _original, outcome| {
-            heartbeat.tick(outcome.findings.len());
-            if let (Some(cfg), false) = (explain_cfg, quiet) {
-                for a in outcome
-                    .attempts
-                    .iter()
-                    .filter(|a| cfg.matches(name, &a.rule))
-                {
-                    eprintln!("spatch: explain: {name}: {}", attempt_line(a));
-                }
-            }
+            progress.file(name, outcome.findings.len(), &outcome.attempts);
             if quiet || outcome.error.is_some() {
                 return; // errors are reported once, from the report below
             }
@@ -619,7 +677,7 @@ fn run_scan(args: &Args) -> ExitCode {
             }
         },
     );
-    heartbeat.finish();
+    progress.heartbeat.finish();
     let mut report = match run {
         Ok(r) => r,
         Err(e) => {
@@ -630,86 +688,27 @@ fn run_scan(args: &Args) -> ExitCode {
     };
     report.patch = rules_dir.display().to_string();
     report.lints = lints.iter().map(|l| l.finding.clone()).collect();
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = telemetry::write_trace(path) {
-            eprintln!("spatch: cannot write trace {}: {e}", path.display());
-        } else if !quiet {
-            eprintln!("spatch: trace written to {}", path.display());
-        }
-    }
-    if args.stats {
-        telemetry::print_stats(&report);
-    }
+    let failures = finish_run(args, &report);
 
-    let mut failures = 0usize;
-    for f in &report.files {
-        match f.status {
-            cocci_core::FileStatus::Error => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("unknown error")
-                );
-                failures += 1;
-            }
-            cocci_core::FileStatus::Timeout => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("timed out")
-                );
-            }
-            _ => {}
-        }
-    }
-    if report.resumed > 0 && !quiet {
-        eprintln!(
-            "spatch: resumed: {} unchanged file(s) skipped via {}",
-            report.resumed,
-            args.resume
-                .as_deref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default()
-        );
-    }
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("spatch: cannot write report {}: {e}", path.display());
-            failures += 1;
-        } else if !quiet {
-            eprintln!("spatch: report written to {}", path.display());
-        }
-    }
-
-    match args.format.unwrap_or(Format::Text) {
-        Format::Text => {
-            for f in &report.files {
-                for fd in &f.findings {
-                    println!("{}", fd.text_line());
-                }
-            }
-        }
-        Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => {
-            // Every loaded rule goes into the tool section, severities
-            // and message overrides included — findingless rules keep
-            // the output shape stable run over run.
-            let rules: Vec<SarifRule> = set
-                .rules
-                .iter()
-                .map(|r| SarifRule {
-                    id: r.meta.id.clone(),
-                    level: r.meta.severity.as_str(),
-                    description: r
-                        .meta
-                        .message
-                        .clone()
-                        .unwrap_or_else(|| format!("semantic-patch rule {}", r.meta.id)),
-                })
-                .collect();
-            print!("{}", cocci_core::to_sarif_with(&report, &rules));
-        }
-    }
+    print_findings(args, &report, || {
+        // Every loaded rule goes into the tool section, severities and
+        // message overrides included — findingless rules keep the
+        // output shape stable run over run.
+        let rules: Vec<SarifRule> = set
+            .rules
+            .iter()
+            .map(|r| SarifRule {
+                id: r.meta.id.clone(),
+                level: r.meta.severity.as_str(),
+                description: r
+                    .meta
+                    .message
+                    .clone()
+                    .unwrap_or_else(|| format!("semantic-patch rule {}", r.meta.id)),
+            })
+            .collect();
+        cocci_core::to_sarif_with(&report, &rules)
+    });
     if !quiet {
         let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
         let suppressed: usize = report.files.iter().map(|f| f.suppressed).sum();
@@ -720,11 +719,7 @@ fn run_scan(args: &Args) -> ExitCode {
             report.summary()
         );
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures)
 }
 
 fn main() -> ExitCode {
@@ -754,27 +749,13 @@ fn main() -> ExitCode {
 
     // Lint at load, before anything else runs: deny-level diagnostics
     // mean every match would fail (or never happen) — refuse up front.
-    let lints = if args.no_lint {
-        Vec::new()
-    } else {
-        let cfg = match lint_config(&args) {
-            Ok(c) => c,
-            Err(code) => return code,
-        };
-        lint_patch(
-            &patch,
-            &sp_file.display().to_string(),
-            Some(&patch_text),
-            &cfg,
-        )
+    let source_name = sp_file.display().to_string();
+    let lints = match load_lints(&args, sp_file, "patch", |cfg| {
+        lint_patch(&patch, &source_name, Some(&patch_text), cfg)
+    }) {
+        Ok(l) => l,
+        Err(code) => return code,
     };
-    if report_load_lints(&lints, args.quiet) {
-        eprintln!(
-            "spatch: {}: deny-level lint findings; fix the patch or pass --no-lint",
-            sp_file.display()
-        );
-        return ExitCode::from(2);
-    }
 
     // Report mode: explicit `--mode report`, or auto-detected from a
     // transformation-free patch (pure-context bodies can only ever
@@ -821,28 +802,11 @@ fn main() -> ExitCode {
 
     // Incremental re-apply: load the previous run's report up front so a
     // bad path fails before any work happens.
-    let previous = match &args.resume {
-        Some(path) => match load_resume(path, patch_hash, "semantic patch") {
-            Ok(r) => Some(r),
-            Err(code) => return code,
-        },
-        None => None,
+    let previous = match load_resume(&args, patch_hash, "semantic patch") {
+        Ok(p) => p,
+        Err(code) => return code,
     };
-
-    let explain_cfg = args
-        .explain
-        .as_deref()
-        .map(|spec| Arc::new(ExplainConfig::parse(spec)));
-    telemetry::init(args.trace_out.as_deref(), args.stats, explain_cfg.is_some());
-    let mut source = WalkSource::discover(&args.targets, &args.ignore);
-    let opts = CorpusOptions {
-        threads: args.threads,
-        no_prefilter: args.no_prefilter,
-        no_flow: args.no_flow,
-        timeout_ms: args.timeout_ms,
-        explain: explain_cfg.clone(),
-        ..Default::default()
-    };
+    let (mut source, opts, mut progress) = start_run(&args);
 
     // The sink runs while each batch's text is still in memory: print the
     // diff / rewrite the file immediately, then let the text drop. Write
@@ -850,24 +814,13 @@ fn main() -> ExitCode {
     // (the driver outcome says "changed", but the change never landed).
     let mut changed = 0usize;
     let mut write_errors: Vec<(String, String)> = Vec::new();
-    let explain_cfg = &explain_cfg;
-    let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), args.quiet);
     let run = apply_to_corpus_resumed(
         &patch,
         &mut source,
         &opts,
         previous.as_ref(),
         |name, original, outcome| {
-            heartbeat.tick(outcome.findings.len());
-            if let (Some(cfg), false) = (explain_cfg, args.quiet) {
-                for a in outcome
-                    .attempts
-                    .iter()
-                    .filter(|a| cfg.matches(name, &a.rule))
-                {
-                    eprintln!("spatch: explain: {name}: {}", attempt_line(a));
-                }
-            }
+            progress.file(name, outcome.findings.len(), &outcome.attempts);
             if outcome.error.is_some() {
                 return; // reported once from the report below
             }
@@ -923,7 +876,7 @@ fn main() -> ExitCode {
         },
     );
 
-    heartbeat.finish();
+    progress.heartbeat.finish();
     let mut report = match run {
         Ok(r) => r,
         Err(e) => {
@@ -935,92 +888,25 @@ fn main() -> ExitCode {
     report.patch = sp_file.display().to_string();
     report.patch_hash = patch_hash;
     report.lints = lints.iter().map(|l| l.finding.clone()).collect();
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = telemetry::write_trace(path) {
-            eprintln!("spatch: cannot write trace {}: {e}", path.display());
-        } else if !args.quiet {
-            eprintln!("spatch: trace written to {}", path.display());
-        }
-    }
-    if args.stats {
-        telemetry::print_stats(&report);
-    }
-
     // A file whose rewrite failed to land is an error, not a change —
     // downgrade its report entry before anything consumes it.
     for (name, msg) in write_errors {
         if let Some(f) = report.files.iter_mut().find(|f| f.name == name) {
-            f.status = cocci_core::FileStatus::Error;
+            f.status = FileStatus::Error;
             f.error = Some(msg);
         }
     }
+    let failures = finish_run(&args, &report);
 
-    // Every failed file — parse/rewrite/write errors and unreadable paths
-    // alike — is in the report exactly once; report them from there.
-    // Timeouts are warnings, not failures: the whole point of the budget
-    // is that one pathological file must not sink the corpus run.
-    let mut failures = 0usize;
-    for f in &report.files {
-        match f.status {
-            cocci_core::FileStatus::Error => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("unknown error")
-                );
-                failures += 1;
-            }
-            cocci_core::FileStatus::Timeout => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("timed out")
-                );
-            }
-            _ => {}
-        }
-    }
-    if report.resumed > 0 && !args.quiet {
-        eprintln!(
-            "spatch: resumed: {} unchanged file(s) skipped via {}",
-            report.resumed,
-            args.resume
-                .as_deref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default()
-        );
-    }
-
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("spatch: cannot write report {}: {e}", path.display());
-            failures += 1;
-        } else if !args.quiet {
-            eprintln!("spatch: report written to {}", path.display());
-        }
-    }
-
-    // Report mode: the findings are the product. Text goes to stdout
-    // grep-style; `json` emits the whole apply report (findings
-    // embedded); `sarif` emits a SARIF 2.1.0 document for CI ingestion.
-    // Resumed files kept their findings in the report, so every format
-    // sees the full set even on incremental runs.
-    let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
+    // Report mode: the findings are the product. Resumed files kept
+    // their findings in the report, so every format sees the full set
+    // even on incremental runs.
     if mode == Mode::Report {
-        match args.format.unwrap_or(Format::Text) {
-            Format::Text => {
-                for f in &report.files {
-                    for fd in &f.findings {
-                        println!("{}", fd.text_line());
-                    }
-                }
-            }
-            Format::Json => print!("{}", report.to_json()),
-            Format::Sarif => print!("{}", cocci_core::to_sarif(&report)),
-        }
+        print_findings(&args, &report, || cocci_core::to_sarif(&report));
     }
     if !args.quiet {
         if mode == Mode::Report {
+            let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
             let suppressed: usize = report.files.iter().map(|f| f.suppressed).sum();
             let suppressed_note = if suppressed > 0 {
                 format!(" ({suppressed} suppressed)")
@@ -1040,9 +926,5 @@ fn main() -> ExitCode {
             );
         }
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures)
 }

@@ -51,9 +51,19 @@ impl FileContext {
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
         let text = text.into();
         let hash = content_hash(&text);
+        FileContext::with_hash(name, text, hash)
+    }
+
+    /// [`FileContext::new`] for a caller that already hashed `text` (the
+    /// corpus driver hashes each file once, for `--resume`).
+    pub(crate) fn with_hash(
+        name: impl Into<String>,
+        text: impl Into<Arc<str>>,
+        hash: u64,
+    ) -> FileContext {
         FileContext {
             name: name.into(),
-            text,
+            text: text.into(),
             hash,
             parsed: None,
             parse_err: None,

@@ -1,17 +1,22 @@
 //! Corpus abstraction: streaming file sources for codebase-scale runs.
 //!
-//! The driver's original API took an explicit in-memory
-//! `&[(String, String)]`; a GADGET-scale tree does not fit that shape.
-//! [`FileSource`] streams files in **bounded-memory batches**: a source
-//! yields at most [`BatchOptions::max_files`] files / `max_bytes` bytes
-//! of text per call, the driver patches the batch in parallel, records
-//! outcomes into an [`ApplyReport`](crate::ApplyReport), and drops the
-//! text before pulling the next batch.
+//! A GADGET-scale tree does not fit in memory as one
+//! `&[(String, String)]`. [`FileSource`] streams files in
+//! **bounded-memory batches**: a source yields at most
+//! [`BatchOptions::max_files`] files / `max_bytes` bytes of text per
+//! call. The corpus driver hands the files to its workers, records
+//! outcomes into an [`ApplyReport`] in walk order,
+//! and pulls the next batch only once at most one batch's worth of files
+//! still awaits output, so at most two batches of text are in memory.
+//!
+//! That driver is the only scheduler in the crate: apply and scan,
+//! streaming and in-memory entry points all run through it, differing
+//! only in the per-file job.
 //!
 //! Two sources are provided:
 //!
 //! * [`MemorySource`] — wraps an in-memory list (tests, benches, the
-//!   legacy API);
+//!   in-memory `apply_batch`/`scan_batch` entry points);
 //! * [`WalkSource`] — walks directories with `.gitignore`-style
 //!   filtering ([`IgnoreSet`]) and a C/C++/CUDA extension filter. Paths
 //!   are enumerated eagerly (cheap — a path is ~100 bytes), file *text*
@@ -19,8 +24,8 @@
 
 use crate::compile::CompiledPatch;
 use crate::driver::{run_one, ExecOptions, FileOutcome};
-use crate::explain::{AttemptTrace, ExplainBlock, ExplainConfig};
-use crate::orchestrate::{ApplyError, Patcher};
+use crate::explain::{AttemptTrace, ExplainBlock, ExplainConfig, RuleAttempt};
+use crate::orchestrate::ApplyError;
 use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
 use crate::report::{content_hash, ApplyReport, FileReport, FileStatus, RunMetrics};
 use cocci_smpl::SemanticPatch;
@@ -28,7 +33,7 @@ use cocci_trace::Phase;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Batch size limits for streaming sources.
 #[derive(Debug, Clone, Copy)]
@@ -356,6 +361,28 @@ pub struct CorpusOptions {
     pub batch: BatchOptions,
 }
 
+impl CorpusOptions {
+    /// The per-file knobs of this run. `flow_rule` names a rule that
+    /// needs the CFG route (`when exists`/`when strict`); under
+    /// `no_flow` the run is refused once, here, rather than erroring
+    /// identically on every file.
+    pub(crate) fn exec(&self, flow_rule: Option<&str>) -> Result<ExecOptions, ApplyError> {
+        if let (true, Some(rule)) = (self.no_flow, flow_rule) {
+            return Err(ApplyError::new(format!(
+                "rule {rule}: `when exists` / `when strict` require CFG path matching, \
+                 which --no-flow disables"
+            )));
+        }
+        Ok(ExecOptions {
+            threads: self.threads,
+            prefilter: !self.no_prefilter,
+            flow: !self.no_flow,
+            timeout_ms: self.timeout_ms,
+            explain: self.explain.clone(),
+        })
+    }
+}
+
 /// Apply `patch` to every file of `source`, streaming batches with
 /// bounded memory.
 ///
@@ -394,26 +421,92 @@ pub fn apply_to_corpus_resumed(
     mut sink: impl FnMut(&str, &str, &FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
     let compiled = Arc::new(CompiledPatch::compile(patch)?);
-    // `when exists`/`when strict` only exist on the CFG route — refuse
-    // once at run level rather than erroring identically on every file.
-    if opts.no_flow {
-        if let Some(rule) = compiled.requires_flow() {
-            return Err(ApplyError::new(format!(
-                "rule {rule}: `when exists` / `when strict` require CFG path matching, \
-                 which --no-flow disables"
-            )));
-        }
+    let exec = opts.exec(compiled.requires_flow())?;
+    Ok(drive(
+        source,
+        opts,
+        previous,
+        || exec.patcher(&compiled),
+        |patcher, name, text, hash| run_one(patcher, &compiled, name, text, hash, &exec),
+        |name, text, outcome| sink(name, text, &outcome),
+    ))
+}
+
+/// A per-file result the corpus driver can report.
+pub(crate) trait Outcome: Send {
+    /// The file's report row.
+    fn report(&self) -> FileReport;
+    /// The file's funnel attempts, the source of the `explain` block.
+    fn attempts(&self) -> &[RuleAttempt];
+}
+
+impl Outcome for FileOutcome {
+    fn report(&self) -> FileReport {
+        FileReport::from_outcome(self)
     }
-    let exec = ExecOptions {
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        flow: !opts.no_flow,
-        timeout_ms: opts.timeout_ms,
-        explain: opts.explain.clone(),
+    fn attempts(&self) -> &[RuleAttempt] {
+        &self.attempts
+    }
+}
+
+/// An entry of the driver's in-order output sequence.
+enum Done<O> {
+    /// The job ran: name, original text, outcome.
+    Ran(String, String, O),
+    /// Unchanged since the previous report: its row is copied forward.
+    Resumed(FileReport),
+    /// The source could not read the file.
+    Unreadable(FileReport),
+}
+
+/// Run `files` through [`drive`] as one in-memory batch and return the
+/// outcomes in input order (the `apply_batch`/`scan_batch` adapters).
+pub(crate) fn drive_memory<W, O: Outcome>(
+    files: &[(String, String)],
+    threads: usize,
+    worker: impl Fn() -> W + Sync,
+    run: impl Fn(&mut W, &str, &str, u64) -> O + Sync,
+) -> Vec<O> {
+    let opts = CorpusOptions {
+        threads,
+        batch: BatchOptions {
+            max_files: usize::MAX,
+            max_bytes: usize::MAX,
+        },
+        ..Default::default()
     };
+    let mut out = Vec::with_capacity(files.len());
+    let mut source = MemorySource::new(files.iter().cloned());
+    drive(&mut source, &opts, None, worker, run, |_, _, o| out.push(o));
+    out
+}
+
+/// The corpus driver behind every apply and scan entry point, generic
+/// only over the per-file job.
+///
+/// One persistent worker team runs for the whole corpus; each worker
+/// builds its job state once with `worker`. This thread walks `source`
+/// and streams files into a work-stealing queue, so there is no
+/// per-batch join barrier. A worker hashes each file it pops (the one
+/// hash per file), copies the row of `previous` forward when it holds a
+/// resumable entry under the same hash, and otherwise runs `run`.
+///
+/// Every file the walk encounters (run, resumed, or unreadable) reserves
+/// one ordered result slot, so `sink` and the report observe walk order
+/// whatever the completion order was. Before reading the next batch, the
+/// walker waits until at most one batch's worth of files is reserved but
+/// not yet emitted: at most two batches of text are in memory.
+pub(crate) fn drive<W, O: Outcome>(
+    source: &mut dyn FileSource,
+    opts: &CorpusOptions,
+    previous: Option<&ApplyReport>,
+    worker: impl Fn() -> W + Sync,
+    run: impl Fn(&mut W, &str, &str, u64) -> O + Sync,
+    mut sink: impl FnMut(&str, &str, O),
+) -> ApplyReport {
     // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
     // skip candidate.
-    let prev_by_name: HashMap<&str, &FileReport> = previous
+    let prev: HashMap<&str, &FileReport> = previous
         .map(|r| {
             r.files
                 .iter()
@@ -423,66 +516,58 @@ pub fn apply_to_corpus_resumed(
         })
         .unwrap_or_default();
     let t0 = Instant::now();
+    let threads = resolve_threads(opts.threads);
+    // Work units are files: (output slot, name, text).
+    let queue: WorkQueue<(usize, String, String)> = WorkQueue::new(threads);
+    let slots: ResultSlots<Done<O>> = ResultSlots::new();
     let mut files = Vec::new();
     let mut resumed = 0usize;
-
-    // One persistent worker team for the whole run: the walker (this
-    // thread) streams file units into a work-stealing queue while the
-    // workers drain it, so there is no per-batch join barrier — a slow
-    // file in batch N overlaps with the parsing of batch N+1. Every file
-    // the producer encounters (run, resumed, or unreadable) reserves one
-    // ordered result slot, so the sink and the report observe exactly
-    // the walk order whatever the completion order was.
-    enum Done {
-        Ran(String, String, FileOutcome),
-        Skipped(FileReport),
-    }
-    struct Task {
-        slot: usize,
-        name: String,
-        text: String,
-    }
-    let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<Task> = WorkQueue::new(threads);
-    let slots: ResultSlots<Done> = ResultSlots::new();
-    // Under `--explain`, matching attempts accumulate into the report's
-    // explain block. Results arrive in walk order (the slots are
-    // ordered), and the block sorts on finish, so the embedded traces
-    // are byte-identical across thread counts.
-    let mut explain_block = opts.explain.as_ref().map(|_| ExplainBlock::default());
+    // Matching attempts accumulate in walk order and the block sorts on
+    // finish, so the embedded traces are identical across thread counts.
+    let mut explain = opts.explain.as_ref().map(|_| ExplainBlock::default());
 
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let (queue, slots, compiled, exec) = (&queue, &slots, &compiled, &exec);
+            let (queue, slots, prev, worker, run) = (&queue, &slots, &prev, &worker, &run);
             let spawn = std::thread::Builder::new().name(format!("worker-{w}"));
             let handle = spawn.spawn_scoped(scope, move || {
-                // One Patcher per worker over the shared compile:
-                // script-interpreter globals are per-application state
-                // and must not be shared, but the compiled patch is
-                // immutable.
-                let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
-                patcher.flow_enabled = exec.flow;
-                patcher.time_budget = exec.timeout_ms.map(Duration::from_millis);
-                patcher.explain = exec.explain.clone();
-                while let Some(task) = queue.pop(w) {
-                    let outcome = run_one(&mut patcher, compiled, &task.name, &task.text, exec);
-                    slots.set(task.slot, Done::Ran(task.name, task.text, outcome));
+                let mut state = worker();
+                while let Some((slot, name, text)) = queue.pop(w) {
+                    let hash = content_hash(&text);
+                    let done = match prev.get(name.as_str()) {
+                        // A prior `timeout`/`error` row records a failed
+                        // attempt, not the file: it is re-attempted.
+                        Some(p) if p.hash == hash && p.status.resumable() => {
+                            Done::Resumed(FileReport {
+                                seconds: 0.0,
+                                ..(*p).clone()
+                            })
+                        }
+                        _ => {
+                            let outcome = run(&mut state, &name, &text, hash);
+                            Done::Ran(name, text, outcome)
+                        }
+                    };
+                    slots.set(slot, done);
                 }
             });
             handle.expect("spawn corpus worker");
         }
 
-        let explain_cfg: Option<&ExplainConfig> = opts.explain.as_deref();
-        let explain_block = &mut explain_block;
-        let mut emit = |done: Vec<Done>, files: &mut Vec<FileReport>| {
+        // Text bytes of each reserved, not yet emitted file.
+        let mut ahead: VecDeque<usize> = VecDeque::new();
+        let mut emit = |ahead: &mut VecDeque<usize>, done: Vec<Done<O>>| {
             for d in done {
+                ahead.pop_front();
                 let _report_span = cocci_trace::span(Phase::Report);
                 match d {
                     Done::Ran(name, text, outcome) => {
-                        if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
+                        if let (Some(block), Some(cfg)) =
+                            (explain.as_mut(), opts.explain.as_deref())
+                        {
                             block.extend(
                                 outcome
-                                    .attempts
+                                    .attempts()
                                     .iter()
                                     .filter(|a| cfg.matches(&name, &a.rule))
                                     .map(|a| AttemptTrace {
@@ -493,102 +578,76 @@ pub fn apply_to_corpus_resumed(
                                     }),
                             );
                         }
-                        sink(&name, &text, &outcome);
-                        files.push(FileReport::from_outcome(&outcome));
+                        files.push(outcome.report());
+                        sink(&name, &text, outcome);
                     }
-                    Done::Skipped(report) => files.push(report),
+                    Done::Resumed(row) => {
+                        resumed += 1;
+                        files.push(row);
+                    }
+                    Done::Unreadable(row) => files.push(row),
                 }
             }
         };
 
+        let (max_files, max_bytes) = (opts.batch.max_files, opts.batch.max_bytes);
         loop {
+            // Bounded read-ahead: a batch always yields at least one
+            // file, so one file over `max_bytes` still counts as a batch.
+            while ahead.len() > max_files
+                || (ahead.len() > 1 && ahead.iter().sum::<usize>() > max_bytes)
+            {
+                emit(&mut ahead, slots.drain_next());
+            }
             let batch = {
                 let _walk_span = cocci_trace::span(Phase::Walk);
                 source.next_batch(&opts.batch)
             };
             for (name, msg) in source.take_errors() {
-                let i = slots.reserve(1);
-                slots.set(
-                    i,
-                    Done::Skipped(FileReport {
-                        name,
-                        status: FileStatus::Error,
-                        matches: 0,
-                        witnesses: 0,
-                        seconds: 0.0,
-                        hash: 0,
-                        error: Some(msg),
-                        findings: Vec::new(),
-                        rules: Vec::new(),
-                        rules_pruned: 0,
-                        suppressed: 0,
-                        kill_stage: None,
-                    }),
-                );
+                ahead.push_back(0);
+                let row = FileReport {
+                    name,
+                    status: FileStatus::Error,
+                    matches: 0,
+                    witnesses: 0,
+                    seconds: 0.0,
+                    hash: 0,
+                    error: Some(msg),
+                    findings: Vec::new(),
+                    rules: Vec::new(),
+                    rules_pruned: 0,
+                    suppressed: 0,
+                    kill_stage: None,
+                };
+                slots.set(slots.reserve(1), Done::Unreadable(row));
             }
             if batch.is_empty() {
                 break;
             }
-            let mut tasks = Vec::with_capacity(batch.len());
+            // One file per push, round-robin over the shards: workers pop
+            // their shard front first, so the whole team works through
+            // a batch in walk order while the next one waits behind it.
             for (name, text) in batch {
-                let hash = content_hash(&text);
-                let i = slots.reserve(1);
-                match prev_by_name.get(name.as_str()) {
-                    // Only completed statuses are copied forward: a prior
-                    // `timeout`/`error` records a failed *attempt*, so the
-                    // file is re-attempted even though its text is
-                    // unchanged (see [`FileStatus::resumable`]).
-                    Some(prev) if prev.hash == hash && prev.status.resumable() => {
-                        resumed += 1;
-                        slots.set(
-                            i,
-                            Done::Skipped(FileReport {
-                                name,
-                                status: prev.status,
-                                matches: prev.matches,
-                                witnesses: prev.witnesses,
-                                seconds: 0.0,
-                                hash,
-                                error: prev.error.clone(),
-                                // A skipped file's *findings* carry
-                                // forward too — an unchanged file still
-                                // has the same diagnostics, and report
-                                // mode would otherwise silently drop them
-                                // from incremental runs.
-                                findings: prev.findings.clone(),
-                                rules: prev.rules.clone(),
-                                rules_pruned: prev.rules_pruned,
-                                suppressed: prev.suppressed,
-                                kill_stage: prev.kill_stage,
-                            }),
-                        );
-                    }
-                    _ => tasks.push(Task {
-                        slot: i,
-                        name,
-                        text,
-                    }),
-                }
+                ahead.push_back(text.len());
+                queue.push((slots.reserve(1), name, text));
             }
-            queue.push_chunk(tasks);
             // Stream out whatever has completed so far: the sink sees
             // results (and text memory is released) while workers chew
             // on the rest.
-            emit(slots.drain_ready(), &mut files);
+            emit(&mut ahead, slots.drain_ready());
         }
         queue.close();
-        emit(slots.drain_all(), &mut files);
+        emit(&mut ahead, slots.drain_all());
     });
 
     // Workers are gone: every span for this run is recorded, so a traced
     // run can embed an exact aggregate alongside the pool's counters.
     let metrics = cocci_trace::is_enabled()
         .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats())));
-    if let Some(block) = explain_block.as_mut() {
+    if let Some(block) = explain.as_mut() {
         block.finish();
     }
-
-    Ok(ApplyReport {
+    ApplyReport {
         patch: String::new(),
         patch_hash: 0,
         threads: opts.threads,
@@ -597,9 +656,9 @@ pub fn apply_to_corpus_resumed(
         total_seconds: t0.elapsed().as_secs_f64(),
         metrics,
         lints: Vec::new(),
-        explain: explain_block,
+        explain,
         files,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Parallel multi-file driver.
+//! Single-patch entry points and the per-file apply job.
 //!
 //! Applying one semantic patch to N files is embarrassingly parallel —
 //! the per-file pipeline shares nothing but the (read-only) compiled
-//! patch. The driver follows the hpc-parallel guide idioms: scoped
-//! threads pulling file indices from an atomic work counter, results
-//! collected under a mutex; no locks are held while patching.
+//! patch. Every entry point here runs through the one corpus driver
+//! ([`crate::corpus`]): the in-memory [`apply_batch`] family feeds its
+//! list through it as a single batch, and the job it runs per file is
+//! `run_one` — prefilter scan, then a full apply.
 //!
 //! The patch is compiled **once** per run ([`CompiledPatch`]) and shared
 //! immutably by every worker; each worker only builds a cheap
@@ -15,10 +16,11 @@
 //! files that fail the patch's literal-atom pre-scan.
 
 use crate::compile::CompiledPatch;
+use crate::context::FileContext;
+use crate::corpus::drive_memory;
 use crate::explain::{self, ExplainConfig, KillStage, RuleAttempt};
+use crate::findings::Finding;
 use crate::orchestrate::{ApplyError, Patcher};
-use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
-use crate::report::content_hash;
 use cocci_smpl::{Rule, SemanticPatch};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +91,19 @@ impl Default for ExecOptions {
     }
 }
 
+impl ExecOptions {
+    /// A [`Patcher`] over `compiled` with these knobs. Script-interpreter
+    /// globals are per-application state, so each worker (apply) or rule
+    /// application (scan) gets its own; the compiled patch is shared.
+    pub(crate) fn patcher(&self, compiled: &Arc<CompiledPatch>) -> Patcher {
+        let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
+        patcher.flow_enabled = self.flow;
+        patcher.time_budget = self.timeout_ms.map(Duration::from_millis);
+        patcher.explain = self.explain.clone();
+        patcher
+    }
+}
+
 /// Apply `patch` to every `(name, text)` pair using `threads` worker
 /// threads (0 = number of available CPUs). Outcomes are returned in input
 /// order. A patch compile error is returned once, at run level.
@@ -131,39 +146,12 @@ pub fn apply_batch_opts(
     files: &[(String, String)],
     opts: &ExecOptions,
 ) -> Vec<FileOutcome> {
-    // Workers are cheap (no stack pre-commit) and the queue parks the
-    // surplus, so the count is NOT clamped to `files.len()`: a caller
-    // that feeds small trailing batches through a shared `ExecOptions`
-    // gets the same team size every time. (The corpus drivers go
-    // further and keep one team alive across all batches — see
-    // [`crate::pool`].)
-    let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<usize> = WorkQueue::new(threads);
-    let slots: ResultSlots<FileOutcome> = ResultSlots::new();
-    slots.reserve(files.len());
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (queue, slots) = (&queue, &slots);
-            scope.spawn(move || {
-                // One Patcher per worker over the shared compile:
-                // script-interpreter globals are per-application state and
-                // must not be shared, but the compiled patch is immutable.
-                let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
-                patcher.flow_enabled = opts.flow;
-                patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
-                patcher.explain = opts.explain.clone();
-                while let Some(i) = queue.pop(w) {
-                    let (name, text) = &files[i];
-                    slots.set(i, run_one(&mut patcher, compiled, name, text, opts));
-                }
-            });
-        }
-        queue.push_chunk(0..files.len());
-        queue.close();
-    });
-
-    slots.drain_ready()
+    drive_memory(
+        files,
+        opts.threads,
+        || opts.patcher(compiled),
+        |patcher, name, text, hash| run_one(patcher, compiled, name, text, hash, opts),
+    )
 }
 
 thread_local! {
@@ -249,152 +237,103 @@ fn prefilter_attempts(
     attempts
 }
 
-/// Fold per-rule attempts into the file-level summary stage.
-fn file_stage(attempts: &[RuleAttempt]) -> Option<KillStage> {
-    attempts.iter().map(|a| a.stage).max()
-}
-
-/// Store the funnel counters (and `--explain` instant events) for every
-/// attempt of one file — the single record point per attempt, so the
-/// `--stats` funnel, the report metrics, and the per-outcome stages
-/// reconcile exactly.
-fn record_attempts(name: &str, attempts: &[RuleAttempt]) {
-    for a in attempts {
-        explain::record_attempt(a.stage, name, &a.rule, a.detail.as_deref());
-    }
-}
-
-/// Run the per-file pipeline (prefilter scan, then full apply) once.
+/// The apply job: run the per-file pipeline (prefilter scan, then full
+/// apply) once. `hash` is the content hash of `text`.
 pub(crate) fn run_one(
     patcher: &mut Patcher,
     compiled: &CompiledPatch,
     name: &str,
     text: &str,
+    hash: u64,
     opts: &ExecOptions,
 ) -> FileOutcome {
     let t0 = Instant::now();
-    let hash = content_hash(text);
+    let mut out = FileOutcome {
+        name: name.to_string(),
+        output: None,
+        error: None,
+        matches: 0,
+        witnesses: 0,
+        findings: Vec::new(),
+        suppressed: 0,
+        pruned: false,
+        timed_out: false,
+        hash,
+        seconds: 0.0,
+        attempts: Vec::new(),
+        kill_stage: None,
+    };
     let survives = !opts.prefilter || {
         let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
         compiled.may_match(text)
     };
     if !survives {
         cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        let attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
-        record_attempts(name, &attempts);
-        let kill_stage = file_stage(&attempts);
-        return FileOutcome {
-            name: name.to_string(),
-            output: None,
-            error: None,
-            matches: 0,
-            witnesses: 0,
-            findings: Vec::new(),
-            suppressed: 0,
-            pruned: true,
-            timed_out: false,
-            hash,
-            seconds: t0.elapsed().as_secs_f64(),
-            attempts,
-            kill_stage,
-        };
-    }
-    // Attempt records survive in `last_stats` only when the application
-    // itself stored them (success, timeout, parse failure); clear the
-    // previous file's residue so unattributable errors stay empty.
-    patcher.last_stats.attempts.clear();
-    match catch_matcher_panics(name, || patcher.apply(name, text)) {
-        Ok(output) => {
-            let findings = std::mem::take(&mut patcher.last_stats.findings);
-            let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
-            // Pre-suppression finding counts per rule, to upgrade a
-            // completed attempt whose findings all vanish.
-            let pre: Vec<(String, usize)> = count_by_rule(&findings);
-            // `// spatch-ignore` markers drop findings here, at the
-            // outcome boundary — matching itself never sees them.
-            let (findings, suppressed) = if findings.is_empty() {
-                (findings, 0)
-            } else {
-                crate::suppress::SuppressionIndex::parse(text).filter(findings)
-            };
-            cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
-            if suppressed > 0 {
-                let post = count_by_rule(&findings);
-                let count = |list: &[(String, usize)], rule: &str| {
-                    list.iter()
-                        .find(|(r, _)| r == rule)
-                        .map(|(_, n)| *n)
-                        .unwrap_or(0)
+        out.pruned = true;
+        out.attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
+    } else {
+        // Attempt records survive in `last_stats` only when the
+        // application itself stored them (success, timeout, parse
+        // failure); clear the previous file's residue so unattributable
+        // errors stay empty and out of the funnel.
+        patcher.last_stats.attempts.clear();
+        let mut ctx = FileContext::with_hash(name, text, hash);
+        let res = catch_matcher_panics(name, || patcher.apply_ctx(&mut ctx));
+        out.attempts = std::mem::take(&mut patcher.last_stats.attempts);
+        match res {
+            Ok(output) => {
+                let findings = std::mem::take(&mut patcher.last_stats.findings);
+                let per_rule = |findings: &[Finding], rule: &str| {
+                    findings.iter().filter(|f| f.rule == rule).count()
                 };
-                for a in &mut attempts {
-                    let before = count(&pre, &a.rule);
-                    if a.stage == KillStage::Completed && before > 0 && count(&post, &a.rule) == 0 {
+                // Pre-suppression finding counts per attempt, to upgrade
+                // a completed attempt whose findings all vanish.
+                let before: Vec<usize> = out
+                    .attempts
+                    .iter()
+                    .map(|a| per_rule(&findings, &a.rule))
+                    .collect();
+                // `// spatch-ignore` markers drop findings here, at the
+                // outcome boundary — matching itself never sees them.
+                if !findings.is_empty() {
+                    (out.findings, out.suppressed) = ctx.suppressions().filter(findings);
+                }
+                cocci_trace::count(cocci_trace::Counter::Suppressions, out.suppressed as u64);
+                for (a, before) in out.attempts.iter_mut().zip(before) {
+                    if a.stage == KillStage::Completed
+                        && before > 0
+                        && per_rule(&out.findings, &a.rule) == 0
+                    {
                         a.stage = KillStage::Suppressed;
                         if a.detail.is_some() || patcher.explain_wants(name, &a.rule) {
                             a.detail = Some(format!("all {before} finding(s) suppressed inline"));
                         }
                     }
                 }
+                out.output = output;
+                out.matches = patcher.last_stats.matches_per_rule.iter().sum();
+                out.witnesses = patcher.last_stats.witnesses;
             }
-            record_attempts(name, &attempts);
-            let kill_stage = file_stage(&attempts);
-            FileOutcome {
-                name: name.to_string(),
-                output,
-                error: None,
-                matches: patcher.last_stats.matches_per_rule.iter().sum(),
-                witnesses: patcher.last_stats.witnesses,
-                findings,
-                suppressed,
-                pruned: false,
-                timed_out: false,
-                hash,
-                seconds: t0.elapsed().as_secs_f64(),
-                attempts,
-                kill_stage,
-            }
-        }
-        Err(e) => {
-            // Timeout and parse failures stored their attempts before
-            // erroring; other errors left the vec empty (cleared above)
-            // and stay out of the funnel.
-            let attempts = std::mem::take(&mut patcher.last_stats.attempts);
-            record_attempts(name, &attempts);
-            let kill_stage = file_stage(&attempts);
-            FileOutcome {
-                name: name.to_string(),
-                output: None,
-                error: Some(e.to_string()),
-                matches: 0,
-                witnesses: 0,
-                findings: Vec::new(),
-                suppressed: 0,
-                pruned: false,
-                timed_out: e.timed_out,
-                hash,
-                seconds: t0.elapsed().as_secs_f64(),
-                attempts,
-                kill_stage,
+            Err(e) => {
+                out.error = Some(e.to_string());
+                out.timed_out = e.timed_out;
             }
         }
     }
-}
-
-/// Finding counts grouped by rule name (small lists; no hashing).
-fn count_by_rule(findings: &[crate::findings::Finding]) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    for f in findings {
-        match out.iter_mut().find(|(r, _)| *r == f.rule) {
-            Some((_, n)) => *n += 1,
-            None => out.push((f.rule.clone(), 1)),
-        }
+    // The single record point per attempt, so the `--stats` funnel, the
+    // report metrics, and the per-outcome stages reconcile exactly.
+    for a in &out.attempts {
+        explain::record_attempt(a.stage, name, &a.rule, a.detail.as_deref());
     }
+    out.kill_stage = out.attempts.iter().map(|a| a.stage).max();
+    out.seconds = t0.elapsed().as_secs_f64();
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::content_hash;
     use cocci_smpl::parse_semantic_patch;
 
     #[test]

@@ -18,10 +18,12 @@
 //!
 //! The patch is compiled **once** per run ([`compile::CompiledPatch`]:
 //! regex constraints, inheritance graph, per-rule prefilter atoms) and
-//! shared immutably across workers; the [`driver`] module distributes
-//! steps 1–4 over many files with scoped threads, and the [`corpus`]
-//! module streams whole directory trees through the driver in
+//! shared immutably across workers. The [`corpus`] module holds the one
+//! corpus driver: a persistent work-stealing worker team that streams
+//! whole directory trees through steps 1–4, file by file, in
 //! bounded-memory batches, emitting a machine-readable [`ApplyReport`].
+//! The [`driver`] (one patch) and [`scan`] (a rule collection) modules
+//! supply its per-file jobs and their entry points.
 //!
 //! ```
 //! use cocci_core::Patcher;

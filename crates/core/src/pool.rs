@@ -3,11 +3,11 @@
 //! The original drivers spawned a fresh scoped-thread team per batch and
 //! joined it at the batch boundary — a barrier at which every worker
 //! idles while the slowest file of the batch finishes, repeated once per
-//! batch. The corpus drivers now keep **one persistent team** alive for
-//! the whole run and feed it through a [`WorkQueue`]: the producer (the
-//! walker thread) streams work units in chunks while workers drain, and
-//! an idle worker steals from its neighbours instead of waiting for the
-//! next batch.
+//! batch. The corpus driver now keeps **one persistent team** alive for
+//! the whole run and feeds it through a [`WorkQueue`]: the producer (the
+//! walker thread) streams work units while workers drain, and an idle
+//! worker steals from its neighbours instead of waiting for the next
+//! batch.
 //!
 //! Determinism is preserved by separating *scheduling* from *output
 //! order*: every unit carries the index of a preassigned cell in a
@@ -68,12 +68,13 @@ impl PoolStats {
 /// A sharded work queue: one deque per worker plus an overflow shard for
 /// producers, with stealing between shards.
 ///
-/// * the producer pushes round-robin across shards (chunks land on one
-///   shard each, keeping cache-warm runs of same-file units together);
-/// * worker `w` pops from the **back** of shard `w` (LIFO — its own most
-///   recent, cache-warm work);
-/// * an idle worker steals from the **front** of the other shards (FIFO —
-///   the oldest work, which the owner would reach last);
+/// * the producer pushes round-robin across shards (single units spread
+///   over all shards, chunks land on one shard each);
+/// * worker `w` pops from the **front** of shard `w` (FIFO — push order,
+///   which for the corpus driver is walk order, so results complete
+///   roughly in the order they are emitted);
+/// * an idle worker steals from the **back** of the other shards (the
+///   newest work, which the owner would reach last);
 /// * `pop` blocks when everything is empty and returns `None` only after
 ///   [`close`](WorkQueue::close).
 pub struct WorkQueue<T> {
@@ -144,9 +145,9 @@ impl<T> WorkQueue<T> {
         self.cond.notify_one();
     }
 
-    /// Push a chunk of units onto one shard, keeping them adjacent (a
-    /// worker that grabs the shard processes the run back-to-back; other
-    /// workers steal from the far end).
+    /// Push a chunk of units onto one shard, keeping them adjacent (its
+    /// owner processes the run front to back; other workers steal from
+    /// the far end).
     pub fn push_chunk(&self, items: impl IntoIterator<Item = T>) {
         let s = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut n = 0usize;
@@ -173,19 +174,19 @@ impl<T> WorkQueue<T> {
         self.cond.notify_all();
     }
 
-    /// Take one unit for worker `worker`: own shard's back first, then
-    /// steal from the front of the others, then block. Returns `None`
+    /// Take one unit for worker `worker`: own shard's front first, then
+    /// steal from the back of the others, then block. Returns `None`
     /// when the queue is closed and empty.
     pub fn pop(&self, worker: usize) -> Option<T> {
         let n = self.shards.len();
         let w = worker % n;
         loop {
-            if let Some(item) = self.shards[w].lock().unwrap().pop_back() {
+            if let Some(item) = self.shards[w].lock().unwrap().pop_front() {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 return Some(item);
             }
             for off in 1..n {
-                if let Some(item) = self.shards[(w + off) % n].lock().unwrap().pop_front() {
+                if let Some(item) = self.shards[(w + off) % n].lock().unwrap().pop_back() {
                     self.pending.fetch_sub(1, Ordering::SeqCst);
                     self.steals[w].fetch_add(1, Ordering::Relaxed);
                     return Some(item);
@@ -266,6 +267,16 @@ impl<T> ResultSlots<T> {
     /// drain between batches).
     pub fn drain_ready(&self) -> Vec<T> {
         let mut s = self.inner.lock().unwrap();
+        s.take_ready()
+    }
+
+    /// Pop the filled prefix, blocking until the first reserved cell is
+    /// filled (empty only when nothing is reserved).
+    pub(crate) fn drain_next(&self) -> Vec<T> {
+        let mut s = self.inner.lock().unwrap();
+        while matches!(s.cells.front(), Some(None)) {
+            s = self.cond.wait(s).unwrap();
+        }
         s.take_ready()
     }
 
@@ -390,6 +401,22 @@ mod tests {
         slots.set(1, "b");
         slots.set(3, "d");
         assert_eq!(slots.drain_all(), ["b", "c", "d"]);
+    }
+
+    #[test]
+    fn drain_next_waits_for_the_first_cell_only() {
+        let slots: ResultSlots<usize> = ResultSlots::new();
+        assert!(slots.drain_next().is_empty(), "nothing reserved");
+        slots.reserve(3);
+        slots.set(1, 1);
+        let got = std::thread::scope(|scope| {
+            let h = scope.spawn(|| slots.drain_next());
+            slots.set(0, 0);
+            h.join().unwrap()
+        });
+        assert_eq!(got, [0, 1], "the filled prefix, not the open cell 2");
+        slots.set(2, 2);
+        assert_eq!(slots.drain_next(), [2]);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::scan::RuleOutcome;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Classified outcome of one file.
+/// Classified outcome of one file, declared in ascending severity
+/// ([`ScanOutcome::status`](crate::ScanOutcome::status) folds by it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileStatus {
     /// Skipped by the prefilter before lexing/parsing.

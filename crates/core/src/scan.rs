@@ -1,15 +1,14 @@
-//! The N-rule scan driver: lint a corpus with a whole rule collection
-//! in one pass.
+//! The N-rule scan job: lint a corpus with a whole rule collection in
+//! one pass.
 //!
-//! The single-patch driver parallelises over *files*; scanning
-//! parallelises over **(file × surviving-rule) units**. Each file gets
-//! one [`FileContext`] (text, parse tree, CFG cache, line table,
-//! suppression index — built once), one pass of the rule set's merged
-//! prefilter automaton decides which rules may match it at all, and the
-//! surviving units are distributed over the worker pool. Units of the
-//! same file serialise on the file's context mutex, so fifty rules
-//! over one file share one parse — the [`ScanOutcome::parses`] probe
-//! asserts exactly that.
+//! Scanning runs through the same corpus driver as applying
+//! ([`crate::corpus`]), and the work unit is again the file. For each
+//! file, one pass of the rule set's merged prefilter automaton decides
+//! which rules may match it at all; the survivors then run one after
+//! another, in rule-id order, on one [`FileContext`] (text, parse tree,
+//! CFG cache, line table, suppression index) that lives only as long as
+//! the file's job. Fifty rules over one file share one parse — the
+//! [`ScanOutcome::parses`] probe asserts exactly that.
 //!
 //! Findings are attributed to the scan rule that produced them: each
 //! finding's `rule` field is rewritten to the rule's id and its message
@@ -21,19 +20,15 @@
 //! nothing else.
 
 use crate::context::FileContext;
-use crate::corpus::{CorpusOptions, FileSource};
+use crate::corpus::{drive, drive_memory, CorpusOptions, FileSource, Outcome};
 use crate::driver::{catch_matcher_panics, ExecOptions};
-use crate::explain::{self, AttemptTrace, ExplainBlock, KillStage, RuleAttempt};
+use crate::explain::{self, KillStage, RuleAttempt};
 use crate::findings::Finding;
-use crate::orchestrate::{ApplyError, Patcher};
-use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
+use crate::orchestrate::ApplyError;
 use crate::report::json::{self, Value};
 use crate::report::{ApplyReport, FileReport, FileStatus};
 use crate::ruleset::{CompiledRuleSet, ScanRule};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Outcome of one rule on one file (scan mode).
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +107,7 @@ pub struct ScanOutcome {
     pub name: String,
     /// FNV-1a hash of the file text (resume bookkeeping).
     pub hash: u64,
-    /// Accumulated wall-clock seconds (prefilter scan + every rule).
+    /// Wall-clock seconds for the whole file (prefilter scan + every rule).
     pub seconds: f64,
     /// Times the file text was parsed — the "N rules, one parse"
     /// guarantee says this stays ≤ 1 however many rules survived.
@@ -133,7 +128,7 @@ pub struct ScanOutcome {
     /// First per-rule failure, prefixed with the rule id.
     pub error: Option<String>,
     /// Every attempt this file saw — one `Prefilter` entry per pruned
-    /// rule plus the surviving units' attempts, attributed to scan rule
+    /// rule plus the surviving rules' attempts, attributed to scan rule
     /// ids. Feeds the report's `explain` block under `--explain`.
     pub attempts: Vec<RuleAttempt>,
 }
@@ -143,20 +138,11 @@ impl ScanOutcome {
     /// (error > timeout > changed > matched > unmatched), or `pruned`
     /// when no rule survived the prefilter.
     pub fn status(&self) -> FileStatus {
-        fn rank(s: FileStatus) -> u8 {
-            match s {
-                FileStatus::Pruned => 0,
-                FileStatus::Unmatched => 1,
-                FileStatus::Matched => 2,
-                FileStatus::Changed => 3,
-                FileStatus::Timeout => 4,
-                FileStatus::Error => 5,
-            }
-        }
+        // `FileStatus` is declared in ascending severity.
         self.rules
             .iter()
             .map(|r| r.status)
-            .max_by_key(|s| rank(*s))
+            .max_by_key(|s| *s as u8)
             .unwrap_or(FileStatus::Pruned)
     }
 
@@ -184,176 +170,117 @@ impl ScanOutcome {
     }
 }
 
-/// What one (file × rule) work unit produced.
-struct UnitResult {
-    outcome: RuleOutcome,
-    findings: Vec<Finding>,
-    witnesses: usize,
-    error: Option<String>,
-    /// Funnel attempts, relabelled to the scan rule id.
-    attempts: Vec<RuleAttempt>,
-}
-
-/// Shared per-file state during a scan run.
-struct Slot {
-    name: String,
-    text: String,
-    ctx: Mutex<FileContext>,
-    /// Rule indices that survived the merged prefilter, ascending (and
-    /// therefore in rule-id order — the set is sorted by id).
-    surviving: Vec<usize>,
-    /// One `Prefilter` attempt per pruned rule, recorded at build time.
-    pruned_attempts: Vec<RuleAttempt>,
-    sieve_seconds: f64,
-    /// One preassigned result cell per surviving rule, so parallel
-    /// completion order cannot reorder the output.
-    results: Mutex<Vec<Option<UnitResult>>>,
-    /// Units still outstanding; the worker that takes this to zero
-    /// assembles the file's outcome (streaming runs only care).
-    remaining: AtomicUsize,
-}
-
-/// One (file × surviving-rule) work unit on the queue.
-struct Unit {
-    slot: Arc<Slot>,
-    /// Index into `slot.surviving` / `slot.results`.
-    k: usize,
-    /// The file's [`ResultSlots`] cell (streaming runs; `scan_batch`
-    /// assembles after the join and ignores it).
-    seq: usize,
-}
-
-/// A completed entry in a streaming scan's output sequence.
-enum ScanDone {
-    /// Every unit of the file finished; assemble from the slot.
-    Ran(Arc<Slot>),
-    /// Resumed or unreadable — the report entry is already final.
-    Skipped(FileReport),
-}
-
-impl Slot {
-    /// Sieve `text` against the merged prefilter and set up the per-rule
-    /// result cells. Pruned rules record their `Prefilter` funnel
-    /// attempt here — the only point that knows a (file × rule) pair
-    /// was killed before parsing.
-    fn build(set: &CompiledRuleSet, name: String, text: String, opts: &ExecOptions) -> Slot {
-        let t0 = Instant::now();
-        let surviving: Vec<usize> = if opts.prefilter {
-            let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
-            set.surviving_rules(&text)
-        } else {
-            (0..set.len()).collect()
-        };
-        if opts.prefilter && surviving.is_empty() {
-            cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        }
-        let mut pruned_attempts = Vec::new();
-        if surviving.len() < set.len() {
-            let mut next = surviving.iter().copied().peekable();
-            for (ri, rule) in set.rules.iter().enumerate() {
-                if next.peek() == Some(&ri) {
-                    next.next();
-                    continue;
-                }
-                let id = &rule.meta.id;
-                let detail = opts
-                    .explain
-                    .as_ref()
-                    .filter(|cfg| cfg.matches(&name, id))
-                    .map(|_| "merged prefilter: no required atom of this rule occurs".to_string());
-                explain::record_attempt(KillStage::Prefilter, &name, id, detail.as_deref());
-                pruned_attempts.push(RuleAttempt {
-                    rule: id.clone(),
-                    stage: KillStage::Prefilter,
-                    detail,
-                });
-            }
-        }
-        let n = surviving.len();
-        Slot {
-            ctx: Mutex::new(FileContext::new(name.clone(), text.as_str())),
-            name,
-            text,
-            surviving,
-            pruned_attempts,
-            sieve_seconds: t0.elapsed().as_secs_f64(),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-        }
+impl Outcome for ScanOutcome {
+    fn report(&self) -> FileReport {
+        self.to_report()
     }
-
-    /// Fold the filled result cells into the file outcome. Callers
-    /// guarantee every unit has completed (`remaining` hit zero, or the
-    /// worker scope was joined).
-    fn assemble(&self, set: &CompiledRuleSet) -> ScanOutcome {
-        let ctx = self.ctx.lock().unwrap();
-        let results = std::mem::take(&mut *self.results.lock().unwrap());
-        let mut rules = Vec::with_capacity(self.surviving.len());
-        let mut findings = Vec::new();
-        let mut suppressed = 0usize;
-        let mut witnesses = 0usize;
-        let mut seconds = self.sieve_seconds;
-        let mut error: Option<String> = None;
-        let mut attempts = self.pruned_attempts.clone();
-        for r in results {
-            let r = r.expect("every unit processed");
-            seconds += r.outcome.seconds;
-            witnesses += r.witnesses;
-            suppressed += r.outcome.suppressed;
-            findings.extend(r.findings);
-            attempts.extend(r.attempts);
-            if error.is_none() {
-                if let Some(e) = r.error {
-                    error = Some(format!("rule {}: {e}", r.outcome.id));
-                }
-            }
-            rules.push(r.outcome);
-        }
-        ScanOutcome {
-            name: self.name.clone(),
-            hash: ctx.hash(),
-            seconds,
-            parses: ctx.parses(),
-            cfg_builds: ctx.cfg_builds(),
-            rules_pruned: set.len() - self.surviving.len(),
-            rules,
-            findings,
-            suppressed,
-            witnesses,
-            error,
-            attempts,
-        }
+    fn attempts(&self) -> &[RuleAttempt] {
+        &self.attempts
     }
 }
 
-/// Run one (file × rule) unit, serialising on the file's context.
-fn run_unit(rule: &ScanRule, slot: &Slot, opts: &ExecOptions) -> UnitResult {
-    // One cheap Patcher per unit over the shared compile — script
-    // globals and stats are per-application state.
-    let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
-    patcher.flow_enabled = opts.flow;
-    patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
-    patcher.explain = opts.explain.clone();
+/// The scan job: scan one file with every rule of `set`.
+///
+/// One pass of the merged prefilter picks the rules that may match; the
+/// survivors then run one after another, in rule-id order, on one
+/// [`FileContext`] this job owns and drops when it returns.
+fn scan_file(
+    set: &CompiledRuleSet,
+    name: &str,
+    text: &str,
+    hash: u64,
+    opts: &ExecOptions,
+) -> ScanOutcome {
     let t0 = Instant::now();
-    let mut ctx = slot.ctx.lock().unwrap();
-    let res = catch_matcher_panics(&slot.name, || patcher.apply_ctx(&mut ctx));
+    let surviving: Vec<usize> = if opts.prefilter {
+        let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
+        set.surviving_rules(text)
+    } else {
+        (0..set.len()).collect()
+    };
+    if opts.prefilter && surviving.is_empty() {
+        cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
+    }
+    let mut out = ScanOutcome {
+        name: name.to_string(),
+        hash,
+        seconds: 0.0,
+        parses: 0,
+        cfg_builds: 0,
+        rules_pruned: set.len() - surviving.len(),
+        rules: Vec::with_capacity(surviving.len()),
+        findings: Vec::new(),
+        suppressed: 0,
+        witnesses: 0,
+        error: None,
+        attempts: Vec::new(),
+    };
+    // Pruned rules record their `Prefilter` funnel attempt here — the
+    // only point that knows a (file × rule) pair was killed before
+    // parsing.
+    let mut next = surviving.iter().copied().peekable();
+    for (ri, rule) in set.rules.iter().enumerate() {
+        if next.next_if_eq(&ri).is_some() {
+            continue;
+        }
+        let id = &rule.meta.id;
+        let detail = opts
+            .explain
+            .as_ref()
+            .filter(|cfg| cfg.matches(name, id))
+            .map(|_| "merged prefilter: no required atom of this rule occurs".to_string());
+        explain::record_attempt(KillStage::Prefilter, name, id, detail.as_deref());
+        out.attempts.push(RuleAttempt {
+            rule: id.clone(),
+            stage: KillStage::Prefilter,
+            detail,
+        });
+    }
+    if !surviving.is_empty() {
+        let mut ctx = FileContext::with_hash(name, text, hash);
+        for ri in surviving {
+            run_rule(&set.rules[ri], &mut ctx, opts, &mut out);
+        }
+        out.parses = ctx.parses();
+        out.cfg_builds = ctx.cfg_builds();
+    }
+    out.seconds = t0.elapsed().as_secs_f64();
+    out
+}
+
+/// Run one surviving rule on the file's shared context and fold its
+/// result into `out`.
+fn run_rule(rule: &ScanRule, ctx: &mut FileContext, opts: &ExecOptions, out: &mut ScanOutcome) {
+    let mut patcher = opts.patcher(&rule.compiled);
+    let t0 = Instant::now();
+    let res = catch_matcher_panics(&out.name, || patcher.apply_ctx(ctx));
     // Funnel attempts ride in the patcher's stats for both outcomes
     // (`apply_ctx` stores them at its timeout/parse `Err` sites too);
     // relabel them from inner SMPL rule names to the scan rule id —
     // the same attribution findings get.
+    let id = &rule.meta.id;
     let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
     for a in &mut attempts {
-        a.rule = rule.meta.id.clone();
+        a.rule = id.clone();
     }
+    let mut outcome = RuleOutcome {
+        id: id.clone(),
+        status: FileStatus::Unmatched,
+        matches: 0,
+        findings: 0,
+        suppressed: 0,
+        seconds: 0.0,
+        kill_stage: None,
+    };
     match res {
         Ok(output) => {
-            let matches: usize = patcher.last_stats.matches_per_rule.iter().sum();
+            outcome.matches = patcher.last_stats.matches_per_rule.iter().sum();
             let mut findings = std::mem::take(&mut patcher.last_stats.findings);
             // Attribute findings to the scan rule: its id (not the inner
             // SMPL rule name) keys the merged report, and its message
             // override wins.
             for f in &mut findings {
-                f.rule = rule.meta.id.clone();
+                f.rule = id.clone();
                 if let Some(m) = &rule.meta.message {
                     f.message = m.clone();
                 }
@@ -364,117 +291,72 @@ fn run_unit(rule: &ScanRule, slot: &Slot, opts: &ExecOptions) -> UnitResult {
                 ctx.suppressions().filter(findings)
             };
             cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
-            // Inline markers silenced the whole unit: what completed the
+            // Inline markers silenced the whole rule: what completed the
             // funnel actually died at suppression.
             if suppressed > 0 && findings.is_empty() {
                 for a in &mut attempts {
                     if a.stage == KillStage::Completed {
                         a.stage = KillStage::Suppressed;
-                        if a.detail.is_some() || patcher.explain_wants(&slot.name, &a.rule) {
+                        if a.detail.is_some() || patcher.explain_wants(&out.name, &a.rule) {
                             a.detail =
                                 Some(format!("all {suppressed} finding(s) suppressed inline"));
                         }
                     }
                 }
             }
-            for a in &attempts {
-                explain::record_attempt(a.stage, &slot.name, &a.rule, a.detail.as_deref());
-            }
-            let status = if output.is_some() {
+            outcome.status = if output.is_some() {
                 FileStatus::Changed
-            } else if matches > 0 {
+            } else if outcome.matches > 0 {
                 FileStatus::Matched
             } else {
                 FileStatus::Unmatched
             };
-            UnitResult {
-                outcome: RuleOutcome {
-                    id: rule.meta.id.clone(),
-                    status,
-                    matches,
-                    findings: findings.len(),
-                    suppressed,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    kill_stage: attempts.iter().map(|a| a.stage).max(),
-                },
-                findings,
-                witnesses: patcher.last_stats.witnesses,
-                error: None,
-                attempts,
-            }
+            outcome.findings = findings.len();
+            outcome.suppressed = suppressed;
+            out.findings.extend(findings);
+            out.suppressed += suppressed;
+            out.witnesses += patcher.last_stats.witnesses;
         }
         // Failed attempts keep their elapsed time too: a timed-out or
         // crashing rule is exactly what slow-file accounting must see.
         Err(e) => {
-            for a in &attempts {
-                explain::record_attempt(a.stage, &slot.name, &a.rule, a.detail.as_deref());
-            }
-            UnitResult {
-                outcome: RuleOutcome {
-                    id: rule.meta.id.clone(),
-                    status: if e.timed_out {
-                        FileStatus::Timeout
-                    } else {
-                        FileStatus::Error
-                    },
-                    matches: 0,
-                    findings: 0,
-                    suppressed: 0,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    kill_stage: attempts.iter().map(|a| a.stage).max(),
-                },
-                findings: Vec::new(),
-                witnesses: 0,
-                error: Some(e.message),
-                attempts,
+            outcome.status = if e.timed_out {
+                FileStatus::Timeout
+            } else {
+                FileStatus::Error
+            };
+            if out.error.is_none() {
+                out.error = Some(format!("rule {id}: {}", e.message));
             }
         }
     }
+    for a in &attempts {
+        explain::record_attempt(a.stage, &out.name, &a.rule, a.detail.as_deref());
+    }
+    outcome.seconds = t0.elapsed().as_secs_f64();
+    outcome.kill_stage = attempts.iter().map(|a| a.stage).max();
+    out.rules.push(outcome);
+    out.attempts.extend(attempts);
 }
 
-/// Scan one in-memory batch of files with every rule of `set`.
+/// Scan one in-memory batch of files with every rule of `set`; outcomes
+/// come back in input order.
 ///
-/// Work units are (file, surviving rule) pairs pulled from one atomic
-/// counter; units of the same file serialise on its [`FileContext`]
-/// mutex so the parse/CFG/line-table work happens once per file. The
-/// merged prefilter (one automaton pass per file) decides survival; with
+/// Work units are files, fed through the corpus driver as one batch;
+/// each file is sieved by the merged prefilter (one automaton pass) and
+/// parsed at most once for all its surviving rules. With
 /// `opts.prefilter` off every rule runs on every file.
 pub fn scan_batch(
     set: &CompiledRuleSet,
     files: &[(String, String)],
     opts: &ExecOptions,
 ) -> Vec<ScanOutcome> {
-    let slots: Vec<Arc<Slot>> = files
-        .iter()
-        .map(|(name, text)| Arc::new(Slot::build(set, name.clone(), text.clone(), opts)))
-        .collect();
-    let total_units: usize = slots.iter().map(|s| s.surviving.len()).sum();
-    let threads = resolve_threads(opts.threads).min(total_units.max(1));
-    let queue: WorkQueue<Unit> = WorkQueue::new(threads);
-    for (seq, slot) in slots.iter().enumerate() {
-        queue.push_chunk((0..slot.surviving.len()).map(|k| Unit {
-            slot: Arc::clone(slot),
-            k,
-            seq,
-        }));
-    }
-    queue.close();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            scope.spawn(move || {
-                while let Some(u) = queue.pop(w) {
-                    let rule = &set.rules[u.slot.surviving[u.k]];
-                    let result = run_unit(rule, &u.slot, opts);
-                    u.slot.results.lock().unwrap()[u.k] = Some(result);
-                    u.slot.remaining.fetch_sub(1, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    // Assemble per-file outcomes in input order; per-rule entries are
-    // already in rule-id order via the preassigned cells.
-    slots.iter().map(|slot| slot.assemble(set)).collect()
+    drive_memory(
+        files,
+        opts.threads,
+        || (),
+        |_, name, text, hash| scan_file(set, name, text, hash, opts),
+    )
 }
 
 /// Scan every file of `source` with `set`, streaming batches with
@@ -494,194 +376,25 @@ pub fn scan_corpus(
     previous: Option<&ApplyReport>,
     mut sink: impl FnMut(&str, &str, &ScanOutcome),
 ) -> Result<ApplyReport, ApplyError> {
-    if opts.no_flow {
-        if let Some(rule) = set.requires_flow() {
-            return Err(ApplyError::new(format!(
-                "rule {}: `when exists` / `when strict` require CFG path matching, \
-                 which --no-flow disables",
-                rule.meta.id
-            )));
-        }
-    }
-    let exec = ExecOptions {
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        flow: !opts.no_flow,
-        timeout_ms: opts.timeout_ms,
-        explain: opts.explain.clone(),
-    };
-    let prev_by_name: HashMap<&str, &FileReport> = previous
-        .map(|r| {
-            r.files
-                .iter()
-                .filter(|f| f.hash != 0)
-                .map(|f| (f.name.as_str(), f))
-                .collect()
-        })
-        .unwrap_or_default();
-    let t0 = Instant::now();
-    let mut files = Vec::new();
-    let mut resumed = 0usize;
-    let mut explain_block = opts.explain.as_ref().map(|_| ExplainBlock::default());
-    let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<Unit> = WorkQueue::new(threads);
-    let out: ResultSlots<ScanDone> = ResultSlots::new();
-    // One persistent worker team for the whole corpus: the producer (this
-    // thread) streams (file × rule) units while workers drain and steal.
-    // The worker that completes a file's last unit publishes it; the
-    // producer drains the filled prefix between batches, so sinks and
-    // reports observe walker order whatever the completion order was.
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (queue, out, exec) = (&queue, &out, &exec);
-            let spawn = std::thread::Builder::new().name(format!("worker-{w}"));
-            let handle = spawn.spawn_scoped(scope, move || {
-                while let Some(u) = queue.pop(w) {
-                    let rule = &set.rules[u.slot.surviving[u.k]];
-                    let result = run_unit(rule, &u.slot, exec);
-                    u.slot.results.lock().unwrap()[u.k] = Some(result);
-                    if u.slot.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        out.set(u.seq, ScanDone::Ran(Arc::clone(&u.slot)));
-                    }
-                }
-            });
-            handle.expect("spawn scan worker");
-        }
-
-        let explain_cfg = opts.explain.as_deref();
-        let explain_block = &mut explain_block;
-        let mut emit = |done: Vec<ScanDone>| {
-            for d in done {
-                let _report_span = cocci_trace::span(cocci_trace::Phase::Report);
-                match d {
-                    ScanDone::Ran(slot) => {
-                        let outcome = slot.assemble(set);
-                        if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
-                            block.extend(
-                                outcome
-                                    .attempts
-                                    .iter()
-                                    .filter(|a| cfg.matches(&outcome.name, &a.rule))
-                                    .map(|a| AttemptTrace {
-                                        file: outcome.name.clone(),
-                                        rule: a.rule.clone(),
-                                        stage: a.stage,
-                                        detail: a.detail.clone(),
-                                    }),
-                            );
-                        }
-                        sink(&slot.name, &slot.text, &outcome);
-                        files.push(outcome.to_report());
-                    }
-                    ScanDone::Skipped(report) => files.push(report),
-                }
-            }
-        };
-        loop {
-            let batch = {
-                let _walk_span = cocci_trace::span(cocci_trace::Phase::Walk);
-                source.next_batch(&opts.batch)
-            };
-            for (name, msg) in source.take_errors() {
-                let seq = out.reserve(1);
-                out.set(
-                    seq,
-                    ScanDone::Skipped(FileReport {
-                        name,
-                        status: FileStatus::Error,
-                        matches: 0,
-                        witnesses: 0,
-                        seconds: 0.0,
-                        hash: 0,
-                        error: Some(msg),
-                        findings: Vec::new(),
-                        rules: Vec::new(),
-                        rules_pruned: 0,
-                        suppressed: 0,
-                        kill_stage: None,
-                    }),
-                );
-            }
-            if batch.is_empty() {
-                break;
-            }
-            for (name, text) in batch {
-                let hash = crate::report::content_hash(&text);
-                let seq = out.reserve(1);
-                match prev_by_name.get(name.as_str()) {
-                    Some(prev) if prev.hash == hash && prev.status.resumable() => {
-                        resumed += 1;
-                        out.set(
-                            seq,
-                            ScanDone::Skipped(FileReport {
-                                name,
-                                status: prev.status,
-                                matches: prev.matches,
-                                witnesses: prev.witnesses,
-                                seconds: 0.0,
-                                hash,
-                                error: prev.error.clone(),
-                                findings: prev.findings.clone(),
-                                // Per-rule outcomes ride forward with the
-                                // skip, like findings do — an unchanged
-                                // file still has the same per-rule story.
-                                rules: prev.rules.clone(),
-                                rules_pruned: prev.rules_pruned,
-                                suppressed: prev.suppressed,
-                                // Copied forward, but no counters bump:
-                                // a resumed file is not a new attempt.
-                                kill_stage: prev.kill_stage,
-                            }),
-                        );
-                    }
-                    _ => {
-                        let slot = Arc::new(Slot::build(set, name, text, &exec));
-                        if slot.surviving.is_empty() {
-                            // Pruned without a parse — no units to queue.
-                            out.set(seq, ScanDone::Ran(slot));
-                        } else {
-                            let units = (0..slot.surviving.len()).map(|k| Unit {
-                                slot: Arc::clone(&slot),
-                                k,
-                                seq,
-                            });
-                            queue.push_chunk(units);
-                        }
-                    }
-                }
-            }
-            // Release finished files (and their text) between batches.
-            emit(out.drain_ready());
-        }
-        queue.close();
-        emit(out.drain_all());
-    });
-    // Workers joined — the trace snapshot now holds every span of this
-    // run, and the queue's counters describe its scheduling.
-    let metrics = cocci_trace::is_enabled().then(|| {
-        crate::report::RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats()))
-    });
-    if let Some(block) = explain_block.as_mut() {
-        block.finish();
-    }
-    Ok(ApplyReport {
-        patch: String::new(),
-        patch_hash: set.hash,
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        resumed,
-        total_seconds: t0.elapsed().as_secs_f64(),
-        metrics,
-        lints: Vec::new(),
-        explain: explain_block,
-        files,
-    })
+    let exec = opts.exec(set.requires_flow().map(|r| r.meta.id.as_str()))?;
+    let mut report = drive(
+        source,
+        opts,
+        previous,
+        || (),
+        |_, name, text, hash| scan_file(set, name, text, hash, &exec),
+        |name, text, outcome| sink(name, text, &outcome),
+    );
+    report.patch_hash = set.hash;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::MemorySource;
+    use crate::orchestrate::Patcher;
+    use std::sync::Arc;
 
     fn src(id: &str, text: &str) -> (String, String, String) {
         (format!("{id}.cocci"), id.to_string(), text.to_string())
