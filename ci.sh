@@ -292,7 +292,67 @@ jdet() {
 jdet scan-matrix scan --rules "$SCAN_ROOT/rules" "$SCAN_ROOT/corpus"
 jdet scan-trace scan --rules "$TRACE_ROOT/rules" "$TRACE_ROOT/corpus"
 jdet report-scan --sp-file "$RPT_ROOT/corpus/scan.cocci" --mode report "$RPT_ROOT/corpus"
-echo "ok: -j 1 and -j 4 agree on stdout and masked reports (scan matrix, trace rules, report mode)"
+# A rewriting multi-rule apply: the full CUDA->HIP patch (UC7+UC8, a copy
+# of cocci-workloads' UC78_CUDA_HIP_FULL), whose later rules match the
+# text earlier rules rewrote.
+cat > "$JDET_ROOT/cuda2hip.cocci" <<'EOF'
+#spatch --c++
+@initialize:python@ @@
+C2HF = { "curand_uniform_double": "rocrand_uniform_double" }
+C2HT = { "__half": "rocblas_half" }
+
+@cfe@
+identifier fn;
+expression list el;
+position p;
+@@
+fn@p(el)
+
+@script:python cf2hf@
+fn << cfe.fn;
+nf;
+@@
+coccinelle.nf = cocci.make_ident(C2HF[fn]);
+
+@hfe@
+identifier cfe.fn;
+identifier cf2hf.nf;
+position cfe.p;
+@@
+- fn@p
++ nf
+(...)
+
+@cte@
+type c_t;
+identifier i;
+@@
+c_t i;
+
+@script:python ct2hf@
+c_t << cte.c_t;
+h_t;
+@@
+coccinelle.h_t = cocci.make_type(C2HT[c_t]);
+
+@hte@
+type ct2hf.h_t;
+type cte.c_t;
+identifier cte.i;
+@@
+- c_t i;
++ h_t i;
+
+@chevron@
+identifier kk;
+expression b,t,x,y;
+expression list el;
+@@
+- kk<<<b,t,x,y>>>(el)
++ hipLaunchKernelGGL(kk,b,t,x,y,el)
+EOF
+jdet apply-cuda2hip --sp-file "$JDET_ROOT/cuda2hip.cocci" "$RPT_ROOT/corpus"
+echo "ok: -j 1 and -j 4 agree on stdout and masked reports (scan matrix, trace rules, report mode, cuda2hip apply)"
 
 echo "== rule lint (every CI rule set must be deny-clean) =="
 # The rule_matrix rules are property-tested lint-clean, so the merged

@@ -1,4 +1,4 @@
-//! Ablation benches for the engine's design choices (DESIGN.md §4).
+//! Ablation benches for the engine's design choices.
 //!
 //! * `iso` — cost of the const-fold/additive isomorphism: the paper's
 //!   `p0` pattern (`i+k-1` with `constant k={4}`, requires the

@@ -2,7 +2,8 @@
 //! the experiment benchmarks.
 //!
 //! Each bench target (`harness = false`, built on [`timing::Harness`])
-//! regenerates one experiment from DESIGN.md's index:
+//! regenerates one experiment (E1–E4; README's "Performance" section
+//! has the end-to-end numbers):
 //!
 //! | bench       | experiment | what it reports |
 //! |-------------|------------|-----------------|

@@ -1,7 +1,7 @@
 //! Integer constant folding.
 //!
-//! Implements the *const-fold isomorphism* described in DESIGN.md: the
-//! paper's unroll-removal rule matches the loop bound `i+k-1 < l` with
+//! Implements the *const-fold isomorphism*: integer constants compare by
+//! value, not by shape. The paper's unroll-removal rule matches the loop bound `i+k-1 < l` with
 //! `constant k={4}` against source code reading `i+3 < l`, which requires
 //! comparing constant subexpressions by value rather than by shape.
 

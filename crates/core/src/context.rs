@@ -1,22 +1,19 @@
-//! Run-scoped per-file state shared across rules: parse once, match N
-//! times.
+//! Per-file state shared across rules: parse once, match N times.
 //!
-//! Applying a single patch owns its file state implicitly — lex/parse,
-//! build CFGs, resolve lines, done. Scanning a *rule collection* breaks
-//! that shape: fifty rules over one file must not re-lex, re-parse, and
-//! re-build every function's CFG fifty times. [`FileContext`] extracts
-//! the rule-independent substrate — the target text, its parsed
-//! translation unit, the per-function CFG cache, the line-table
-//! [`Resolver`], the suppression-comment index — into one unit built
-//! per file and borrowed by each rule's matcher
-//! ([`Patcher::apply_ctx`](crate::Patcher::apply_ctx)).
+//! A [`FileContext`] holds one *text version* of a file and the
+//! rule-independent state derived from it: the parsed translation unit,
+//! the per-function CFG cache, the line-table [`Resolver`] and the
+//! suppression-comment index, each built on first use. Every rule of
+//! every patch applied to that text borrows it
+//! ([`Patcher::apply_ctx`](crate::Patcher::apply_ctx)), so fifty scan
+//! rules over one file lex, parse and build each CFG once.
 //!
-//! The context always describes the **original** file text. A transform
-//! rule whose edits land mid-patch switches its `Patcher` onto private
-//! (per-application) state for the rewritten text; the shared caches
-//! stay valid for the next rule set member. The [`parses`] and
-//! [`cfg_builds`] counters exist so tests can assert the "exactly once"
-//! property instead of trusting it.
+//! A patch whose edits land mid-application moves on to a fresh context
+//! over the rewritten text, built once per landed edit, and its later
+//! rules share that one. The caller's context keeps describing the
+//! original text, so the next rule set member still finds its caches
+//! valid. The [`parses`] and [`cfg_builds`] counters exist so tests can
+//! assert the "exactly once" property instead of trusting it.
 //!
 //! [`parses`]: FileContext::parses
 //! [`cfg_builds`]: FileContext::cfg_builds
@@ -31,8 +28,8 @@ use cocci_cast::Lang;
 use cocci_source::Interner;
 use std::sync::Arc;
 
-/// Per-file state built once and shared by every rule applied to the
-/// file. See the module docs.
+/// One text version of a file plus the state built from it once and
+/// shared by every rule matched against it. See the module docs.
 pub struct FileContext {
     name: String,
     text: Arc<str>,
@@ -47,7 +44,7 @@ pub struct FileContext {
 }
 
 impl FileContext {
-    /// A fresh context over one file's original text.
+    /// A fresh context over one version of a file's text.
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
         let text = text.into();
         let hash = content_hash(&text);
@@ -90,17 +87,18 @@ impl FileContext {
         &self.name
     }
 
-    /// The original text.
+    /// The text.
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// A cheap shared handle on the original text.
+    /// A cheap shared handle on the text.
     pub fn text_arc(&self) -> Arc<str> {
         Arc::clone(&self.text)
     }
 
-    /// FNV-1a hash of the original text (the `--resume` identity).
+    /// FNV-1a hash of the text (for a file's original text, its
+    /// `--resume` identity).
     pub fn hash(&self) -> u64 {
         self.hash
     }
@@ -138,7 +136,7 @@ impl FileContext {
         }
     }
 
-    /// The line/col resolver for the original text, built on first use.
+    /// The line/col resolver for the text, built on first use.
     pub fn resolver(&mut self) -> Arc<Resolver> {
         match &self.resolver {
             Some(r) => Arc::clone(r),

@@ -5,7 +5,9 @@
 //! patch. Every entry point here runs through the one corpus driver
 //! ([`crate::corpus`]): the in-memory [`apply_batch`] family feeds its
 //! list through it as a single batch, and the job it runs per file is
-//! `run_one` — prefilter scan, then a full apply.
+//! `run_one` — prefilter scan, then a full apply. The apply is folded
+//! into its outcome by `run_patch`, which the scan job runs once per
+//! surviving rule.
 //!
 //! The patch is compiled **once** per run ([`CompiledPatch`]) and shared
 //! immutably by every worker; each worker only builds a cheap
@@ -21,6 +23,8 @@ use crate::corpus::drive_memory;
 use crate::explain::{self, ExplainConfig, KillStage, RuleAttempt};
 use crate::findings::Finding;
 use crate::orchestrate::{ApplyError, Patcher};
+use crate::report::FileStatus;
+use crate::ruleset::RuleMeta;
 use cocci_smpl::{Rule, SemanticPatch};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,6 +81,45 @@ pub struct ExecOptions {
     /// `--explain` filter: attempts matching it carry human-readable
     /// kill details (the stage itself is always recorded).
     pub explain: Option<Arc<ExplainConfig>>,
+}
+
+impl FileOutcome {
+    /// An outcome for `name` with nothing recorded yet.
+    pub(crate) fn empty(name: &str, hash: u64) -> FileOutcome {
+        FileOutcome {
+            name: name.to_string(),
+            output: None,
+            error: None,
+            matches: 0,
+            witnesses: 0,
+            findings: Vec::new(),
+            suppressed: 0,
+            pruned: false,
+            timed_out: false,
+            hash,
+            seconds: 0.0,
+            attempts: Vec::new(),
+            kill_stage: None,
+        }
+    }
+
+    /// The outcome's status: a failure first (timeout, then error), then
+    /// whether the file was pruned, changed, matched or left unmatched.
+    pub(crate) fn status(&self) -> FileStatus {
+        if self.timed_out {
+            FileStatus::Timeout
+        } else if self.error.is_some() {
+            FileStatus::Error
+        } else if self.pruned {
+            FileStatus::Pruned
+        } else if self.output.is_some() {
+            FileStatus::Changed
+        } else if self.matches > 0 {
+            FileStatus::Matched
+        } else {
+            FileStatus::Unmatched
+        }
+    }
 }
 
 impl Default for ExecOptions {
@@ -180,7 +223,7 @@ fn install_quiet_panic_hook() {
 /// pathological file maps to a `failed` report entry instead of
 /// poisoning the whole corpus run (the worker thread — and with it the
 /// scoped-thread driver — would otherwise die with it).
-pub(crate) fn catch_matcher_panics<T>(
+fn catch_matcher_panics<T>(
     name: &str,
     f: impl FnOnce() -> Result<T, ApplyError>,
 ) -> Result<T, ApplyError> {
@@ -203,7 +246,8 @@ pub(crate) fn catch_matcher_panics<T>(
 }
 
 /// One prefilter-killed attempt per transform rule of the patch, with
-/// the absent required atoms as the `--explain` detail.
+/// the absent required atoms as the `--explain` detail. Each attempt is
+/// recorded as it is made.
 fn prefilter_attempts(
     compiled: &CompiledPatch,
     name: &str,
@@ -228,6 +272,7 @@ fn prefilter_attempts(
                     }
                     None => "prefilter rejected the file".to_string(),
                 });
+        explain::record_attempt(KillStage::Prefilter, name, label, detail.as_deref());
         attempts.push(RuleAttempt {
             rule: label.to_string(),
             stage: KillStage::Prefilter,
@@ -248,85 +293,99 @@ pub(crate) fn run_one(
     opts: &ExecOptions,
 ) -> FileOutcome {
     let t0 = Instant::now();
-    let mut out = FileOutcome {
-        name: name.to_string(),
-        output: None,
-        error: None,
-        matches: 0,
-        witnesses: 0,
-        findings: Vec::new(),
-        suppressed: 0,
-        pruned: false,
-        timed_out: false,
-        hash,
-        seconds: 0.0,
-        attempts: Vec::new(),
-        kill_stage: None,
-    };
     let survives = !opts.prefilter || {
         let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
         compiled.may_match(text)
     };
-    if !survives {
-        cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        out.pruned = true;
-        out.attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
+    let mut out = if survives {
+        run_patch(patcher, &mut FileContext::with_hash(name, text, hash), None)
     } else {
-        // Attempt records survive in `last_stats` only when the
-        // application itself stored them (success, timeout, parse
-        // failure); clear the previous file's residue so unattributable
-        // errors stay empty and out of the funnel.
-        patcher.last_stats.attempts.clear();
-        let mut ctx = FileContext::with_hash(name, text, hash);
-        let res = catch_matcher_panics(name, || patcher.apply_ctx(&mut ctx));
-        out.attempts = std::mem::take(&mut patcher.last_stats.attempts);
-        match res {
-            Ok(output) => {
-                let findings = std::mem::take(&mut patcher.last_stats.findings);
-                let per_rule = |findings: &[Finding], rule: &str| {
-                    findings.iter().filter(|f| f.rule == rule).count()
-                };
-                // Pre-suppression finding counts per attempt, to upgrade
-                // a completed attempt whose findings all vanish.
-                let before: Vec<usize> = out
-                    .attempts
-                    .iter()
-                    .map(|a| per_rule(&findings, &a.rule))
-                    .collect();
-                // `// spatch-ignore` markers drop findings here, at the
-                // outcome boundary — matching itself never sees them.
-                if !findings.is_empty() {
-                    (out.findings, out.suppressed) = ctx.suppressions().filter(findings);
-                }
-                cocci_trace::count(cocci_trace::Counter::Suppressions, out.suppressed as u64);
-                for (a, before) in out.attempts.iter_mut().zip(before) {
-                    if a.stage == KillStage::Completed
-                        && before > 0
-                        && per_rule(&out.findings, &a.rule) == 0
-                    {
-                        a.stage = KillStage::Suppressed;
-                        if a.detail.is_some() || patcher.explain_wants(name, &a.rule) {
-                            a.detail = Some(format!("all {before} finding(s) suppressed inline"));
-                        }
+        cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
+        let attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
+        FileOutcome {
+            pruned: true,
+            kill_stage: attempts.iter().map(|a| a.stage).max(),
+            attempts,
+            ..FileOutcome::empty(name, hash)
+        }
+    };
+    out.seconds = t0.elapsed().as_secs_f64();
+    out
+}
+
+/// Run `patcher`'s patch on the file `ctx` holds and fold the result into
+/// an outcome (`seconds` left at 0). The one place where a patch run's
+/// matcher panics are caught, its findings pass the file's
+/// `// spatch-ignore` markers, and its funnel attempts are recorded.
+///
+/// `label` attributes the run to a scan rule: attempts and findings take
+/// its id (and findings its message override) before suppression, so
+/// markers name the id.
+pub(crate) fn run_patch(
+    patcher: &mut Patcher,
+    ctx: &mut FileContext,
+    label: Option<&RuleMeta>,
+) -> FileOutcome {
+    let mut out = FileOutcome::empty(ctx.name(), ctx.hash());
+    let res = catch_matcher_panics(&out.name, || patcher.apply_ctx(ctx));
+    let stats = std::mem::take(&mut patcher.last_stats);
+    out.attempts = stats.attempts;
+    let mut findings = stats.findings;
+    if let Some(meta) = label {
+        for a in &mut out.attempts {
+            a.rule.clone_from(&meta.id);
+        }
+        for f in &mut findings {
+            f.rule.clone_from(&meta.id);
+            if let Some(m) = &meta.message {
+                f.message.clone_from(m);
+            }
+        }
+    }
+    match res {
+        Ok(output) => {
+            let per_rule = |findings: &[Finding], rule: &str| {
+                findings.iter().filter(|f| f.rule == rule).count()
+            };
+            // Pre-suppression finding counts per attempt, to upgrade a
+            // completed attempt whose findings all vanish.
+            let before: Vec<usize> = out
+                .attempts
+                .iter()
+                .map(|a| per_rule(&findings, &a.rule))
+                .collect();
+            // `// spatch-ignore` markers drop findings here, at the
+            // outcome boundary — matching itself never sees them.
+            if !findings.is_empty() {
+                (out.findings, out.suppressed) = ctx.suppressions().filter(findings);
+            }
+            cocci_trace::count(cocci_trace::Counter::Suppressions, out.suppressed as u64);
+            for (a, before) in out.attempts.iter_mut().zip(before) {
+                if a.stage == KillStage::Completed
+                    && before > 0
+                    && per_rule(&out.findings, &a.rule) == 0
+                {
+                    a.stage = KillStage::Suppressed;
+                    if a.detail.is_some() || patcher.explain_wants(&out.name, &a.rule) {
+                        a.detail = Some(format!("all {before} finding(s) suppressed inline"));
                     }
                 }
-                out.output = output;
-                out.matches = patcher.last_stats.matches_per_rule.iter().sum();
-                out.witnesses = patcher.last_stats.witnesses;
             }
-            Err(e) => {
-                out.error = Some(e.to_string());
-                out.timed_out = e.timed_out;
-            }
+            out.output = output;
+            out.matches = stats.matches_per_rule.iter().sum();
+            out.witnesses = stats.witnesses;
+        }
+        Err(e) => {
+            out.error = Some(e.message);
+            out.timed_out = e.timed_out;
         }
     }
     // The single record point per attempt, so the `--stats` funnel, the
     // report metrics, and the per-outcome stages reconcile exactly.
     for a in &out.attempts {
-        explain::record_attempt(a.stage, name, &a.rule, a.detail.as_deref());
+        explain::record_attempt(a.stage, &out.name, &a.rule, a.detail.as_deref());
     }
     out.kill_stage = out.attempts.iter().map(|a| a.stage).max();
-    out.seconds = t0.elapsed().as_secs_f64();
     out
 }
 

@@ -174,7 +174,7 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> bool {
         (Value::StmtList(x), Value::StmtList(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(p, q)| eq::stmt_eq(p, q))
         }
-        (Value::Params(x), Value::Params(y)) => x.len() == y.len(),
+        (Value::Params(x), Value::Params(y)) => params_eq(x, y),
         // Cross-representation comparisons (script outputs, sizeof text).
         (Value::Ident { name, .. }, Value::Text(t))
         | (Value::Text(t), Value::Ident { name, .. }) => name.as_str() == t,
@@ -183,6 +183,16 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> bool {
         }
         _ => false,
     }
+}
+
+/// Span-insensitive equality of two parameter lists: same length, and
+/// pairwise the same type and the same name.
+fn params_eq(a: &[Param], b: &[Param]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| {
+            eq::type_eq(&p.ty, &q.ty)
+                && p.name.as_ref().map(|n| n.name) == q.name.as_ref().map(|n| n.name)
+        })
 }
 
 /// Bind `name` to `value`, or check consistency with an existing binding.
@@ -1309,10 +1319,10 @@ pub fn match_params(
                 .map(|n| n.name)
                 .unwrap_or_else(|| Symbol::intern(""));
             if let Some(Value::Params(bound)) = st.env.get(name).map(|v| v.structural().clone()) {
-                if bound.len() > srcs.len() {
-                    return false;
-                }
-                return go(ctx, rest, &srcs[bound.len()..], st);
+                let k = bound.len();
+                return k <= srcs.len()
+                    && params_eq(&bound, &srcs[..k])
+                    && go(ctx, rest, &srcs[k..], st);
             }
             for k in (0..=srcs.len()).rev() {
                 let mut attempt = st.clone();

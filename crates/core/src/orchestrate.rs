@@ -10,9 +10,8 @@
 //!   (via `rule.var` metavariables or script inputs) exports one
 //!   environment per match; dependent rules run once per environment.
 //!   Environments form a linear chain (`cfe` → `cf2hf` → `hfe`), which
-//!   covers every multi-rule patch in the paper; full cross-product
-//!   semantics of upstream Coccinelle are intentionally not reproduced
-//!   (documented in DESIGN.md).
+//!   covers every multi-rule patch in the paper; the full cross-product
+//!   semantics of upstream Coccinelle are intentionally not reproduced.
 //! * the shared script interpreter: `@initialize@` blocks populate
 //!   globals, `@script@` rules compute new bindings per environment.
 
@@ -21,11 +20,11 @@ use crate::context::FileContext;
 use crate::edits::EditSet;
 use crate::env::{Env, ExportedEnv, Value};
 use crate::explain::{AttemptProbe, ExplainConfig, KillStage, RuleAttempt};
-use crate::findings::{self, Finding, Resolver};
+use crate::findings::{self, Finding};
 use crate::matcher::{self, MatchCtx, MatchState};
 use crate::rewrite;
 use cocci_cast::ast::*;
-use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
+use cocci_cast::parser::ParseOptions;
 use cocci_cast::visit;
 use cocci_script::{Interp, PosInfo, Value as ScriptValue};
 use cocci_smpl::{
@@ -95,9 +94,8 @@ pub struct ApplyStats {
     /// One record per transform-rule attempt (and per timed-out rule
     /// boundary), in rule order: the kill stage that ended it, plus an
     /// `--explain` detail when the patcher's explain filter matched.
-    /// Valid after `Ok` returns *and* after timeout/parse errors (the
-    /// two attributable failure modes); other errors leave the previous
-    /// application's records in place.
+    /// Kept after `Ok` *and* after timeout/parse errors (the two
+    /// attributable failure modes); after any other error it is empty.
     pub attempts: Vec<RuleAttempt>,
 }
 
@@ -111,7 +109,7 @@ pub struct ApplyStats {
 /// `Patcher` over the same `Arc`.
 pub struct Patcher {
     compiled: Arc<CompiledPatch>,
-    /// Statistics of the most recent `apply` call.
+    /// Statistics of the most recent `apply` call (reset when it starts).
     pub last_stats: ApplyStats,
     /// Route flow-sensitive rules (statement dots) through the CFG path
     /// engine. On by default; `spatch --no-flow` and benchmarks clear it
@@ -161,41 +159,39 @@ impl Patcher {
         self.apply_ctx(&mut ctx)
     }
 
-    /// Apply the patch against a shared [`FileContext`]. The context's
-    /// caches (parse tree, CFGs, line table, suppression index) describe
-    /// the **original** text and survive the call untouched: the scan
-    /// driver applies N compiled rule sets through one context and the
-    /// file is lexed/parsed once. When this patch's own edits land
-    /// mid-application, the patcher transparently switches to private
-    /// state for the rewritten text (sequential rule semantics are
-    /// preserved); the returned `Some(text)` is the rewritten file.
+    /// Apply the patch to the file `ctx` holds. Returns `Ok(Some(text))`
+    /// with the rewritten file when edits were made, `Ok(None)` when
+    /// nothing changed.
+    ///
+    /// Every rule matches through one [`FileContext`] per text version:
+    /// the caller's `ctx` while the text is the original, then a fresh
+    /// context built once per landed edit over the rewritten text. Parse
+    /// tree, CFGs and line table therefore come from that version's
+    /// caches, and later rules see earlier rules' rewrites (sequential
+    /// rule semantics). `ctx` itself still describes the original text
+    /// when the call returns, so several patches can share it — the scan
+    /// driver parses a file once for all its rules.
+    ///
+    /// `last_stats` is reset on entry; see [`ApplyStats::attempts`] for
+    /// what survives an `Err`.
     pub fn apply_ctx(&mut self, ctx: &mut FileContext) -> Result<Option<String>, ApplyError> {
+        self.last_stats = ApplyStats::default();
         let t0 = std::time::Instant::now();
         let opts = ParseOptions {
             pattern: false,
             lang: self.compiled.patch.lang,
         };
         let name = ctx.name().to_string();
-        let mut current: Arc<str> = ctx.text_arc();
-        let mut changed = false;
+        // The context of the current text, once an edit has landed.
+        let mut rewritten: Option<FileContext> = None;
         let mut interp = Interp::new();
         let mut matched: HashSet<String> = HashSet::new();
         let mut streams: Vec<ExportedEnv> = vec![ExportedEnv::new()];
         let mut stats = ApplyStats {
             matches_per_rule: vec![0; self.compiled.patch.rules.len()],
-            edits: 0,
-            witnesses: 0,
-            findings: Vec::new(),
-            attempts: Vec::new(),
+            ..ApplyStats::default()
         };
         let mut finalizers = Vec::new();
-        // Line/col resolution for findings and script positions, built
-        // lazily over the *current* text and invalidated whenever a
-        // transform rule rewrites it. While the text is still the
-        // original, the build is fetched from (and cached in) the shared
-        // context, so several rules — of this patch or any other scan
-        // rule — share a single line-table build.
-        let mut resolver: Option<Arc<Resolver>> = None;
         // Auto-findings of reporting rules whose bindings feed a script
         // rule are *deferred*: if that script ends up authoring findings
         // (via `coccilib.report.print_report`), the generic `matched`
@@ -216,16 +212,17 @@ impl Patcher {
                 if t0.elapsed() >= budget {
                     cocci_trace::count(cocci_trace::Counter::Timeouts, 1);
                     let rule_label = rule.name().unwrap_or("<anonymous>");
-                    stats.attempts.push(RuleAttempt {
-                        rule: rule_label.to_string(),
-                        stage: KillStage::Timeout,
-                        detail: self.explain_detail(&name, rule_label, || {
+                    stats.attempts.push(self.attempt(
+                        &name,
+                        rule_label,
+                        KillStage::Timeout,
+                        || {
                             Some(format!(
                                 "budget {} ms expired before this rule",
                                 budget.as_millis()
                             ))
-                        }),
-                    });
+                        },
+                    ));
                     self.last_stats = stats;
                     return Err(ApplyError::timeout(format!(
                         "{name}: exceeded per-file time budget ({} ms) before rule {}",
@@ -234,6 +231,11 @@ impl Patcher {
                     )));
                 }
             }
+            let after_edit = rewritten.is_some();
+            let version = match &mut rewritten {
+                Some(c) => c,
+                None => &mut *ctx,
+            };
             match rule {
                 Rule::Initialize(b) => {
                     interp
@@ -245,16 +247,12 @@ impl Patcher {
                     if !deps_ok(s.depends.as_ref(), &matched) {
                         continue;
                     }
-                    let shared = if changed { None } else { Some(&mut *ctx) };
                     self.run_script_rule(
                         s,
                         &mut interp,
                         &mut streams,
                         &mut matched,
-                        &name,
-                        &current,
-                        &mut resolver,
-                        shared,
+                        version,
                         &mut stats.findings,
                         &mut scripts_reporting,
                     )?;
@@ -263,28 +261,21 @@ impl Patcher {
                     if !deps_ok(t.depends.as_ref(), &matched) {
                         continue;
                     }
-                    // The original text parses through the shared
-                    // context (cached across rules and across scan rule
-                    // sets); once this patch's own edits landed, the
-                    // rewritten text is private and parses privately.
-                    let parsed: Result<Arc<TranslationUnit>, String> = if changed {
-                        parse_translation_unit(&current, opts, &NoMeta)
-                            .map(Arc::new)
-                            .map_err(|e| format!("cannot parse target (after transformation): {e}"))
-                    } else {
-                        ctx.parse(opts)
-                            .map_err(|e| format!("cannot parse target: {e}"))
-                    };
-                    let tu: Arc<TranslationUnit> = match parsed {
+                    let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
+                    let tu: Arc<TranslationUnit> = match version.parse(opts) {
                         Ok(tu) => tu,
-                        Err(msg) => {
-                            let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
-                            stats.attempts.push(RuleAttempt {
-                                rule: rule_label.to_string(),
-                                stage: KillStage::Parse,
-                                detail: self
-                                    .explain_detail(&name, rule_label, || Some(msg.clone())),
-                            });
+                        Err(e) => {
+                            let msg = if after_edit {
+                                format!("cannot parse target (after transformation): {e}")
+                            } else {
+                                format!("cannot parse target: {e}")
+                            };
+                            stats.attempts.push(self.attempt(
+                                &name,
+                                rule_label,
+                                KillStage::Parse,
+                                || Some(msg.clone()),
+                            ));
                             self.last_stats = stats;
                             return Err(aerr(format!("{name}: {msg}")));
                         }
@@ -297,16 +288,12 @@ impl Patcher {
                     // witness; a flow-routed rule's tree-fallback
                     // matches (over-budget functions) keep 0 and are
                     // not counted as witnesses.
-                    let shared = if changed { None } else { Some(&mut *ctx) };
                     let (all_matches, new_streams, edits, probe) =
-                        self.run_transform_rule(ri, t, &tu, &name, &current, &streams, shared)?;
-                    let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
+                        self.run_transform_rule(ri, t, &tu, version, &streams)?;
                     let stage = probe.stage(!all_matches.is_empty());
-                    stats.attempts.push(RuleAttempt {
-                        rule: rule_label.to_string(),
-                        stage,
-                        detail: self.explain_detail(&name, rule_label, || probe.detail(stage)),
-                    });
+                    stats
+                        .attempts
+                        .push(self.attempt(&name, rule_label, stage, || probe.detail(stage)));
                     stats.matches_per_rule[ri] = all_matches.len();
                     stats.witnesses += all_matches.iter().filter(|m| m.witness_group != 0).count();
                     // Reporting-only rules (pure-context bodies) route
@@ -317,17 +304,15 @@ impl Patcher {
                     // Rules whose bindings feed a script rule defer
                     // theirs (see `deferred` above).
                     if self.compiled.rules[ri].report_only && !all_matches.is_empty() {
-                        let rule_name = t.name.as_deref().unwrap_or("<anonymous>");
-                        let shared = if changed { None } else { Some(&mut *ctx) };
-                        let r = shared_resolver(&mut resolver, shared, &name, &current);
+                        let r = version.resolver();
                         let mut auto = Vec::with_capacity(all_matches.len());
                         for m in &all_matches {
                             auto.push(findings::finding_for_match(
-                                rule_name,
+                                rule_label,
                                 &t.metavars,
                                 m,
                                 &r,
-                                &current,
+                                version.text(),
                             ));
                         }
                         let feeds_script = t
@@ -335,7 +320,7 @@ impl Patcher {
                             .as_ref()
                             .is_some_and(|n| self.compiled.script_inherited_from.contains(n));
                         if feeds_script {
-                            deferred.push((rule_name.to_string(), auto));
+                            deferred.push((rule_label.to_string(), auto));
                         } else {
                             stats.findings.extend(auto);
                         }
@@ -350,19 +335,10 @@ impl Patcher {
                         if !edits.is_empty() {
                             stats.edits += edits.len();
                             let _render = cocci_trace::span(cocci_trace::Phase::Render);
-                            current = edits
-                                .apply(&current)
-                                .map_err(|e| {
-                                    aerr(format!(
-                                        "{name}: rule {}: {e}",
-                                        t.name.as_deref().unwrap_or("<anonymous>")
-                                    ))
-                                })?
-                                .into();
-                            changed = true;
-                            // The line table describes the pre-edit
-                            // text now; rebuild on next use.
-                            resolver = None;
+                            let text = edits
+                                .apply(version.text())
+                                .map_err(|e| aerr(format!("{name}: rule {rule_label}: {e}")))?;
+                            rewritten = Some(FileContext::new(name.as_str(), text));
                         }
                     }
                 }
@@ -392,11 +368,7 @@ impl Patcher {
                 .map_err(|e| aerr(format!("{name}: finalize block: {e}")))?;
         }
         self.last_stats = stats;
-        Ok(if changed {
-            Some(current.to_string())
-        } else {
-            None
-        })
+        Ok(rewritten.map(|c| c.text().to_string()))
     }
 
     /// Whether the `--explain` filter is set and matches this
@@ -405,20 +377,21 @@ impl Patcher {
         self.explain.as_ref().is_some_and(|c| c.matches(file, rule))
     }
 
-    /// The `--explain` detail for one (file, rule) attempt: `None`
-    /// unless the explain filter is set and matches — the cheap always-on
-    /// half never assembles detail strings.
-    fn explain_detail(
+    /// The funnel record of one (file, rule) attempt that `stage` ended.
+    /// Its `--explain` detail stays `None` unless the explain filter is
+    /// set and matches — the cheap always-on half never assembles detail
+    /// strings.
+    fn attempt(
         &self,
         file: &str,
         rule: &str,
-        make: impl FnOnce() -> Option<String>,
-    ) -> Option<String> {
-        let cfg = self.explain.as_ref()?;
-        if cfg.matches(file, rule) {
-            make()
-        } else {
-            None
+        stage: KillStage,
+        detail: impl FnOnce() -> Option<String>,
+    ) -> RuleAttempt {
+        RuleAttempt {
+            rule: rule.to_string(),
+            stage,
+            detail: self.explain_wants(file, rule).then(detail).flatten(),
         }
     }
 
@@ -429,20 +402,17 @@ impl Patcher {
         interp: &mut Interp,
         streams: &mut Vec<ExportedEnv>,
         matched: &mut HashSet<String>,
-        file: &str,
-        src: &str,
-        resolver: &mut Option<Arc<Resolver>>,
-        mut shared: Option<&mut FileContext>,
+        version: &mut FileContext,
         findings: &mut Vec<Finding>,
         scripts_reporting: &mut HashSet<String>,
     ) -> Result<(), ApplyError> {
         let mut new_streams = Vec::new();
         let mut any = false;
-        // The shared resolver is built lazily (most script rules inherit
-        // no positions) over the caller's *current* text. Positions were
-        // bound against the current text of their rule's run; report
-        // mode is restricted to transformation-free patches, so the
-        // text — and with it the line table — cannot have moved since.
+        // The line table of the current text version is built lazily
+        // (most script rules inherit no positions). Positions were bound
+        // against the current text of their rule's run; report mode is
+        // restricted to transformation-free patches, so the text — and
+        // with it the line table — cannot have moved since.
         for ex in streams.iter() {
             // Gather inputs; environments lacking them pass through
             // unchanged (the script does not run for them).
@@ -463,7 +433,7 @@ impl Patcher {
                         let (line, column, line_end, column_end) = match resolved {
                             Some(rp) => (rp.line, rp.col, rp.end_line, rp.end_col),
                             None => {
-                                let r = shared_resolver(resolver, shared.as_deref_mut(), file, src);
+                                let r = version.resolver();
                                 let (line, column) = r.line_col(span.start);
                                 let (line_end, column_end) = r.line_col(span.end);
                                 (line, column, line_end, column_end)
@@ -499,7 +469,7 @@ impl Patcher {
             }
             let run = interp
                 .run_script(&s.code, &inputs)
-                .map_err(|e| aerr(format!("{file}: script rule: {e}")))?;
+                .map_err(|e| aerr(format!("{}: script rule: {e}", version.name())))?;
             // `coccilib.report.print_report` calls become findings,
             // attributed to this script rule.
             for r in interp.take_reports() {
@@ -548,18 +518,16 @@ impl Patcher {
     /// the surviving matches (contradictory witness groups already
     /// rejected), (when the rule is inherited from) the new environment
     /// stream, the emitted edit set for those matches, ready to
-    /// apply, and the attempt probe for kill-stage attribution.
+    /// apply, and the attempt probe for kill-stage attribution. `tu` is
+    /// the parse of `version`'s text.
     #[allow(clippy::type_complexity)]
-    #[allow(clippy::too_many_arguments)]
     fn run_transform_rule(
         &self,
         ri: usize,
         t: &TransformRule,
         tu: &TranslationUnit,
-        file: &str,
-        src: &str,
+        version: &mut FileContext,
         streams: &[ExportedEnv],
-        mut shared: Option<&mut FileContext>,
     ) -> Result<
         (
             Vec<MatchState>,
@@ -624,24 +592,22 @@ impl Patcher {
             }
         }
 
+        let file = version.name().to_string();
+        let text = version.text_arc();
+        let src: &str = &text;
         let ctx = MatchCtx {
-            file,
+            file: &file,
             src,
             decls: &t.metavars,
             regexes: &self.compiled.rules[ri].regexes,
         };
-        // Positions crossing a rule boundary capture their line/col
-        // *now*, against the text this rule matched — later transform
-        // rules may rewrite the in-memory text and shift the byte
-        // offsets out from under the span. Built lazily: only rules
-        // that export positions pay for the line table.
-        let mut export_resolver: Option<Arc<Resolver>> = None;
 
         // Flow-sensitive rules route through the CFG path engine
         // (all-paths dots semantics); everything else — and every rule
         // when `--no-flow` cleared `flow_enabled` — stays on the tree
-        // matcher. The search (per-function CFGs + span indexes) is
-        // built once and reused across all seed environments.
+        // matcher. The search (span indexes over the text version's
+        // cached per-function CFGs) is built once and reused across all
+        // seed environments.
         //
         // Exception: a rule whose dots carry an explicit `when exists`/
         // `when strict` cannot take the tree reading at all — it would
@@ -660,12 +626,9 @@ impl Patcher {
             }
         }
         let flow_search = match (&self.compiled.rules[ri].flow, &t.body.pattern) {
-            (Some(fp), Pattern::Stmts(pats)) if self.flow_enabled => Some(match &mut shared {
-                // Shared context: this file's CFGs build once, no matter
-                // how many flow-routed rules (of how many patches) run.
-                Some(ctx) => crate::flowmatch::FlowSearch::with_cache(fp, pats, tu, ctx.cfgs()),
-                None => crate::flowmatch::FlowSearch::new(fp, pats, tu),
-            }),
+            (Some(fp), Pattern::Stmts(pats)) if self.flow_enabled => Some(
+                crate::flowmatch::FlowSearch::with_cache(fp, pats, tu, version.cfgs()),
+            ),
             _ => None,
         };
 
@@ -747,7 +710,8 @@ impl Patcher {
                     let root = match_root(m);
                     !root.is_synthetic() && claims_conflict(&claimed, root, m)
                 };
-                if gid != 0 && atomic_groups {
+                // An ungrouped match is a one-member atomic group.
+                if gid == 0 || atomic_groups {
                     if members.iter().any(member_blocked) {
                         probe.group_blocked += 1;
                         continue;
@@ -782,7 +746,7 @@ impl Patcher {
                     for set in member_sets {
                         edits.merge(set);
                     }
-                } else if gid != 0 {
+                } else {
                     // Independent exists witnesses: drop blocked ones,
                     // then keep a maximal consistent set in source
                     // order (a later witness whose edits contradict an
@@ -808,16 +772,6 @@ impl Patcher {
                     for set in accepted_sets {
                         edits.merge(set);
                     }
-                } else {
-                    if members.iter().any(member_blocked) {
-                        probe.group_blocked += 1;
-                        continue;
-                    }
-                    let _rewrite = cocci_trace::span(cocci_trace::Phase::Rewrite);
-                    for m in &members {
-                        rewrite::emit_edits(&t.body, m, src, &mut edits)
-                            .map_err(|e| aerr(format!("rewrite: {e}")))?;
-                    }
                 }
                 for m in members {
                     let root = match_root(&m);
@@ -829,21 +783,20 @@ impl Patcher {
                         let mut detached = Env::new();
                         for (k, v) in m.env.iter() {
                             let dv = match v {
-                                // Freshly bound positions resolve here;
-                                // a position inherited already-resolved
-                                // keeps its original (bind-time)
-                                // coordinates.
+                                // Positions crossing a rule boundary
+                                // capture their line/col *now*, against
+                                // the text this rule matched: later
+                                // rules may rewrite the text and shift
+                                // the byte offsets out from under the
+                                // span. A position inherited
+                                // already-resolved keeps its original
+                                // (bind-time) coordinates.
                                 Value::Pos {
                                     file: pf,
                                     span,
                                     resolved: None,
                                 } => {
-                                    let r = shared_resolver(
-                                        &mut export_resolver,
-                                        shared.as_deref_mut(),
-                                        file,
-                                        src,
-                                    );
+                                    let r = version.resolver();
                                     let (line, col) = r.line_col(span.start);
                                     let (end_line, end_col) = r.line_col(span.end);
                                     Value::Pos {
@@ -885,29 +838,6 @@ impl Patcher {
         }
         Ok((all_matches, streams_out, edits, probe))
     }
-}
-
-/// The lazily-built line-table resolver for the text a rule is running
-/// against. While the text is still the file's original (`shared` is
-/// `Some`), the build comes from the shared [`FileContext`] — one line
-/// table serves every rule applied to the file; once the patch's own
-/// edits rewrote the text, `shared` is `None` and a private resolver is
-/// built over `src`. Either way the handle is memoized in `slot`.
-fn shared_resolver(
-    slot: &mut Option<Arc<Resolver>>,
-    shared: Option<&mut FileContext>,
-    name: &str,
-    src: &str,
-) -> Arc<Resolver> {
-    if let Some(r) = slot {
-        return Arc::clone(r);
-    }
-    let r = match shared {
-        Some(ctx) => ctx.resolver(),
-        None => Arc::new(Resolver::new(name, src)),
-    };
-    *slot = Some(Arc::clone(&r));
-    r
 }
 
 /// Whether an overlapping earlier claim blocks match `m`. Sibling

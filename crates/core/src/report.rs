@@ -127,22 +127,9 @@ pub struct FileReport {
 impl FileReport {
     /// Classify a driver outcome.
     pub fn from_outcome(o: &FileOutcome) -> FileReport {
-        let status = if o.timed_out {
-            FileStatus::Timeout
-        } else if o.error.is_some() {
-            FileStatus::Error
-        } else if o.pruned {
-            FileStatus::Pruned
-        } else if o.output.is_some() {
-            FileStatus::Changed
-        } else if o.matches > 0 {
-            FileStatus::Matched
-        } else {
-            FileStatus::Unmatched
-        };
         FileReport {
             name: o.name.clone(),
-            status,
+            status: o.status(),
             matches: o.matches,
             witnesses: o.witnesses,
             seconds: o.seconds,

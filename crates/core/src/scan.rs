@@ -21,7 +21,7 @@
 
 use crate::context::FileContext;
 use crate::corpus::{drive, drive_memory, CorpusOptions, FileSource, Outcome};
-use crate::driver::{catch_matcher_panics, ExecOptions};
+use crate::driver::{run_patch, ExecOptions};
 use crate::explain::{self, KillStage, RuleAttempt};
 use crate::findings::Finding;
 use crate::orchestrate::ApplyError;
@@ -251,92 +251,27 @@ fn scan_file(
 /// Run one surviving rule on the file's shared context and fold its
 /// result into `out`.
 fn run_rule(rule: &ScanRule, ctx: &mut FileContext, opts: &ExecOptions, out: &mut ScanOutcome) {
-    let mut patcher = opts.patcher(&rule.compiled);
     let t0 = Instant::now();
-    let res = catch_matcher_panics(&out.name, || patcher.apply_ctx(ctx));
-    // Funnel attempts ride in the patcher's stats for both outcomes
-    // (`apply_ctx` stores them at its timeout/parse `Err` sites too);
-    // relabel them from inner SMPL rule names to the scan rule id —
-    // the same attribution findings get.
+    let run = run_patch(&mut opts.patcher(&rule.compiled), ctx, Some(&rule.meta));
     let id = &rule.meta.id;
-    let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
-    for a in &mut attempts {
-        a.rule = id.clone();
+    if let (None, Some(e)) = (&out.error, &run.error) {
+        out.error = Some(format!("rule {id}: {e}"));
     }
-    let mut outcome = RuleOutcome {
+    // Failed attempts keep their elapsed time too: a timed-out or
+    // crashing rule is exactly what slow-file accounting must see.
+    out.rules.push(RuleOutcome {
         id: id.clone(),
-        status: FileStatus::Unmatched,
-        matches: 0,
-        findings: 0,
-        suppressed: 0,
-        seconds: 0.0,
-        kill_stage: None,
-    };
-    match res {
-        Ok(output) => {
-            outcome.matches = patcher.last_stats.matches_per_rule.iter().sum();
-            let mut findings = std::mem::take(&mut patcher.last_stats.findings);
-            // Attribute findings to the scan rule: its id (not the inner
-            // SMPL rule name) keys the merged report, and its message
-            // override wins.
-            for f in &mut findings {
-                f.rule = id.clone();
-                if let Some(m) = &rule.meta.message {
-                    f.message = m.clone();
-                }
-            }
-            let (findings, suppressed) = if findings.is_empty() {
-                (findings, 0)
-            } else {
-                ctx.suppressions().filter(findings)
-            };
-            cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
-            // Inline markers silenced the whole rule: what completed the
-            // funnel actually died at suppression.
-            if suppressed > 0 && findings.is_empty() {
-                for a in &mut attempts {
-                    if a.stage == KillStage::Completed {
-                        a.stage = KillStage::Suppressed;
-                        if a.detail.is_some() || patcher.explain_wants(&out.name, &a.rule) {
-                            a.detail =
-                                Some(format!("all {suppressed} finding(s) suppressed inline"));
-                        }
-                    }
-                }
-            }
-            outcome.status = if output.is_some() {
-                FileStatus::Changed
-            } else if outcome.matches > 0 {
-                FileStatus::Matched
-            } else {
-                FileStatus::Unmatched
-            };
-            outcome.findings = findings.len();
-            outcome.suppressed = suppressed;
-            out.findings.extend(findings);
-            out.suppressed += suppressed;
-            out.witnesses += patcher.last_stats.witnesses;
-        }
-        // Failed attempts keep their elapsed time too: a timed-out or
-        // crashing rule is exactly what slow-file accounting must see.
-        Err(e) => {
-            outcome.status = if e.timed_out {
-                FileStatus::Timeout
-            } else {
-                FileStatus::Error
-            };
-            if out.error.is_none() {
-                out.error = Some(format!("rule {id}: {}", e.message));
-            }
-        }
-    }
-    for a in &attempts {
-        explain::record_attempt(a.stage, &out.name, &a.rule, a.detail.as_deref());
-    }
-    outcome.seconds = t0.elapsed().as_secs_f64();
-    outcome.kill_stage = attempts.iter().map(|a| a.stage).max();
-    out.rules.push(outcome);
-    out.attempts.extend(attempts);
+        status: run.status(),
+        matches: run.matches,
+        findings: run.findings.len(),
+        suppressed: run.suppressed,
+        seconds: t0.elapsed().as_secs_f64(),
+        kill_stage: run.kill_stage,
+    });
+    out.findings.extend(run.findings);
+    out.suppressed += run.suppressed;
+    out.witnesses += run.witnesses;
+    out.attempts.extend(run.attempts);
 }
 
 /// Scan one in-memory batch of files with every rule of `set`; outcomes

@@ -3,6 +3,10 @@
 //! files, `apply_batch_opts` ≡ `apply_to_corpus` and `scan_batch` ≡
 //! `scan_corpus`, at every thread count, with only timings differing.
 //!
+//! Applying a patch and scanning with a one-rule set holding that patch
+//! are the same per-file run folded two ways: they must agree on every
+//! per-file fact except the finding's rule label.
+//!
 //! The streaming entry points must also keep their bounded-memory
 //! promise: the producer may not read more than one batch ahead of what
 //! the sink has already received.
@@ -13,6 +17,7 @@ use cocci_core::{
     ExecOptions, FileOutcome, FileReport, ScanOutcome,
 };
 use cocci_smpl::parse_semantic_patch;
+use cocci_workloads::gen::{self, CodebaseSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -258,4 +263,127 @@ fn streaming_reads_at_most_one_batch_ahead() {
     .unwrap();
     assert_eq!(report.files.len(), 40);
     assert_bounded(&src.at_call, MAX_FILES);
+}
+
+/// One file of every generator family the use-case patches target, plus
+/// an unparsable file and suppression markers that silence some or all
+/// of a file's findings.
+fn use_case_corpus() -> Vec<(String, String)> {
+    let spec = CodebaseSpec {
+        files: 2,
+        functions_per_file: 3,
+        seed: 7,
+    };
+    let families = [
+        gen::omp_codebase(&spec),
+        gen::kernel_codebase(&spec),
+        gen::multiversion_codebase(&spec),
+        gen::unrolled_codebase(&spec, 4),
+        gen::stencil_codebase(&spec),
+        gen::cuda_codebase(&spec),
+        gen::openacc_codebase(&spec),
+        gen::raw_loop_codebase(&spec),
+        gen::librsb_codebase(&spec),
+        gen::branchy_codebase(&spec),
+        gen::report_scan_codebase(&spec),
+    ];
+    let mut files: Vec<(String, String)> = families
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, fam)| {
+            fam.into_iter()
+                .map(move |f| (format!("{i:02}/{}", f.name), f.text))
+        })
+        .collect();
+    files.push((
+        "broken.cu".into(),
+        "old_api kernel<<< void broken( {\n".into(),
+    ));
+    files.push((
+        "all_quiet.c".into(),
+        "void f(void) {\n    old_api(1); // spatch-ignore scan\n}\n".into(),
+    ));
+    files.push((
+        "half_quiet.c".into(),
+        "void f(void) {\n    old_api(1); // spatch-ignore scan\n    old_api(2);\n}\n".into(),
+    ));
+    files
+}
+
+/// The per-file facts both jobs report, findings' rule label masked.
+fn run_digest(r: &FileReport) -> String {
+    let findings: Vec<_> = r
+        .findings
+        .iter()
+        .map(|f| (&f.path, f.line, f.col, f.end_line, f.end_col, &f.message))
+        .collect();
+    format!(
+        "{}|{}|m={}|w={}|s={}|{:?}|{:?}",
+        r.name, r.status, r.matches, r.witnesses, r.suppressed, findings, r.kill_stage
+    )
+}
+
+#[test]
+fn apply_matches_one_rule_scan() {
+    let files = use_case_corpus();
+    let mut patches: Vec<(&str, &str)> = cocci_workloads::patches::ALL.to_vec();
+    let quiet = report_rule("old_api");
+    patches.push(("scan", &quiet));
+    let configs = [
+        ExecOptions {
+            threads: 2,
+            ..Default::default()
+        },
+        ExecOptions {
+            threads: 2,
+            prefilter: true,
+            ..Default::default()
+        },
+        ExecOptions {
+            threads: 2,
+            timeout_ms: Some(0),
+            ..Default::default()
+        },
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for (id, text) in patches {
+        let compiled =
+            Arc::new(CompiledPatch::compile(&parse_semantic_patch(text).unwrap()).unwrap());
+        let set = CompiledRuleSet::from_sources(&[(
+            format!("{id}.cocci"),
+            id.to_string(),
+            text.to_string(),
+        )])
+        .unwrap();
+        for opts in &configs {
+            let applied: Vec<String> = apply_batch_opts(&compiled, &files, opts)
+                .iter()
+                .map(|o| {
+                    let r = FileReport::from_outcome(o);
+                    seen.insert(format!("{}/{:?}", r.status, r.kill_stage));
+                    run_digest(&r)
+                })
+                .collect();
+            let scanned: Vec<String> = scan_batch(&set, &files, opts)
+                .iter()
+                .map(|o| run_digest(&o.to_report()))
+                .collect();
+            assert_eq!(applied, scanned, "{id} at {opts:?}");
+        }
+    }
+    // The corpus reaches every status and the inline-suppression stage.
+    for want in [
+        "pruned/Some(Prefilter)",
+        "unmatched/",
+        "matched/Some(Suppressed)",
+        "matched/Some(Completed)",
+        "changed/Some(Completed)",
+        "timeout/Some(Timeout)",
+        "error/Some(Parse)",
+    ] {
+        assert!(
+            seen.iter().any(|s| s.starts_with(want)),
+            "{want} not reached: {seen:?}"
+        );
+    }
 }

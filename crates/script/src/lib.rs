@@ -2,7 +2,7 @@
 //!
 //! Coccinelle embeds Python/OCaml for its `@script:python@` rules; this
 //! workspace has no CPython, so we interpret the Python *subset* those
-//! rules actually use (see DESIGN.md, substitution table). Supported:
+//! rules actually use. Supported:
 //!
 //! * assignments `name = expr` and `coccinelle.name = expr`
 //! * string and integer literals, names

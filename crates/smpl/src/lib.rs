@@ -23,8 +23,7 @@
 //!   `local << rule.remote;` inputs and bare `out;` output declarations
 //! * `#spatch --c++[=NN]` option lines selecting the C++ dialect
 //!
-//! Deviations from upstream Coccinelle are documented in DESIGN.md: the
-//! disjunction syntax is always the escaped `\( \| \)` form (the
+//! Deviations from upstream Coccinelle: the disjunction syntax is always the escaped `\( \| \)` form (the
 //! column-zero bare-parenthesis form is not supported), and script rules
 //! are interpreted by `cocci-script` (a Python-subset interpreter) rather
 //! than CPython.

@@ -2,9 +2,9 @@
 //! experiment harness.
 //!
 //! The paper evaluates Coccinelle on real HPC codes (GADGET, LIBRSB,
-//! CUDA applications) that are not redistributable here. Per DESIGN.md's
-//! substitution table, this crate generates *parameterized synthetic
-//! equivalents* that exercise the same code paths:
+//! CUDA applications) that are not redistributable here. In their place
+//! this crate generates *parameterized synthetic equivalents* that
+//! exercise the same code paths:
 //!
 //! * [`gen`] — one generator per use case (OpenMP regions, kernel
 //!   functions, multiversioned functions, unrolled loops, 3-D stencils,

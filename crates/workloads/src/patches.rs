@@ -3,7 +3,8 @@
 //! the benchmark harness so that every consumer exercises the exact same
 //! patch text.
 //!
-//! Indexed as UC1–UC11 per DESIGN.md's experiment table.
+//! Indexed UC1–UC11 in the order of the paper's Section-3 use cases
+//! (UC7 and UC8 also combine into `UC78_CUDA_HIP_FULL`).
 
 /// UC1 — LIKWID marker-API instrumentation.
 pub const UC1_LIKWID: &str = r#"

@@ -1,7 +1,7 @@
 //! End-to-end reproduction of every Section-3 use case of the paper
-//! (UC1–UC11 in DESIGN.md): each test writes the paper's semantic patch
-//! in our SMPL dialect, applies it to a realistic target file, and checks
-//! the enacted transformation.
+//! (UC1–UC11, numbered as in `cocci_workloads::patches`): each test
+//! writes the paper's semantic patch in our SMPL dialect, applies it to
+//! a realistic target file, and checks the enacted transformation.
 
 use cocci_core::Patcher;
 use cocci_examples::timed;
@@ -214,6 +214,29 @@ double dot(const double *a, const double *b, int n) {
         "{out}"
     );
     assert!(out.contains("s += a[i] * b[i];"), "{out}");
+
+    // An overload whose parameters differ from the removed clone's (same
+    // count, other types) is not its default: its attribute stays.
+    let target = r#"__attribute__((target("avx2")))
+int kern(int n) {
+    return avx2_kern(n);
+}
+__attribute__((target("default")))
+int kern(float x) {
+    return (int)x;
+}
+__attribute__((target("default")))
+int kern(int n) {
+    return n;
+}
+"#;
+    let out = apply(BLOAT_PATCH, target);
+    assert!(!out.contains("avx2_kern"), "{out}");
+    assert!(
+        out.contains("__attribute__((target(\"default\")))\nint kern(float x)"),
+        "{out}"
+    );
+    assert_eq!(out.matches("__attribute__").count(), 1, "{out}");
 }
 
 // ---------------------------------------------------------------- UC5
