@@ -18,6 +18,16 @@ cargo build --release --workspace --locked
 echo "== tier-1: test suite =="
 cargo test -q --workspace --locked
 
+# Release builds compile `debug_assert!` away; a side effect hidden in
+# one only shows up here.
+echo "== test suite, release build =="
+cargo test --release -q --workspace --locked
+
+# Every end-to-end benchmark workload at tiny scale, checked against its
+# oracle; also keeps the benchmark compiling against the engine API.
+echo "== e2ebench tiny-scale suite =="
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== rustfmt =="
 cargo fmt --all --check
 

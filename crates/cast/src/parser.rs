@@ -185,6 +185,16 @@ pub fn parse_expression(
     Ok(e)
 }
 
+/// The deepest nesting the parser accepts. One level is one item, one
+/// statement (so one block or one `else if` link), one assignment
+/// expression (so one parenthesis, argument, subscript or conditional
+/// branch), one prefix operator or cast operand, one initializer list,
+/// or one parameter list. Deeper input is a parse error rather than a
+/// stack overflow, and every later pass that recurses over the tree
+/// (matching, rendering, CFG building, dropping) inherits the bound.
+/// Corpus workers get a stack sized for it.
+pub const MAX_NESTING: usize = 512;
+
 /// Builtin type names recognized without registration.
 const BUILTIN_TYPES: &[&str] = &[
     "void",
@@ -231,6 +241,8 @@ struct Parser<'a> {
     opts: ParseOptions,
     meta: &'a dyn MetaLookup,
     typedefs: HashSet<String>,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -248,7 +260,20 @@ impl<'a> Parser<'a> {
             opts,
             meta,
             typedefs: HashSet::new(),
+            depth: 0,
         })
+    }
+
+    /// Parse one nesting level with `parse`, failing once the input
+    /// nests deeper than [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, ParseErr>) -> Result<T, ParseErr> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     // ---- token helpers ----
@@ -692,6 +717,10 @@ impl<'a> Parser<'a> {
     }
 
     fn item(&mut self) -> Result<Item, ParseErr> {
+        self.nested(Self::item_at_depth)
+    }
+
+    fn item_at_depth(&mut self) -> Result<Item, ParseErr> {
         let t = self.peek();
         if t.kind == TokenKind::Directive {
             let d = self.directive();
@@ -1002,6 +1031,10 @@ impl<'a> Parser<'a> {
     }
 
     fn init_list(&mut self) -> Result<Expr, ParseErr> {
+        self.nested(Self::init_list_at_depth)
+    }
+
+    fn init_list_at_depth(&mut self) -> Result<Expr, ParseErr> {
         let start = self.expect(Punct::LBrace)?.span;
         let mut elems = Vec::new();
         while !self.peek().is(Punct::RBrace) {
@@ -1022,6 +1055,10 @@ impl<'a> Parser<'a> {
     }
 
     fn params(&mut self) -> Result<(Vec<Param>, bool), ParseErr> {
+        self.nested(Self::params_at_depth)
+    }
+
+    fn params_at_depth(&mut self) -> Result<(Vec<Param>, bool), ParseErr> {
         let mut params = Vec::new();
         let mut varargs = false;
         if self.peek().is(Punct::RParen) {
@@ -1141,6 +1178,10 @@ impl<'a> Parser<'a> {
 
     /// Parse one statement.
     pub(crate) fn statement(&mut self) -> Result<Stmt, ParseErr> {
+        self.nested(Self::statement_at_depth)
+    }
+
+    fn statement_at_depth(&mut self) -> Result<Stmt, ParseErr> {
         let t = self.peek();
         match t.kind {
             TokenKind::Directive => Ok(Stmt::Directive(self.directive())),
@@ -1593,6 +1634,10 @@ impl<'a> Parser<'a> {
 
     /// Assignment expression (no top-level comma).
     fn assign_expr(&mut self) -> Result<Expr, ParseErr> {
+        self.nested(Self::assign_expr_at_depth)
+    }
+
+    fn assign_expr_at_depth(&mut self) -> Result<Expr, ParseErr> {
         let lhs = self.ternary()?;
         let op = match self.peek().kind {
             TokenKind::Punct(Punct::Eq) => Some(AssignOp::Assign),
@@ -1701,7 +1746,7 @@ impl<'a> Parser<'a> {
         };
         if let Some(op) = op {
             self.bump();
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
             let span = t.span.merge(expr.span());
             return Ok(Expr::Unary {
                 op,
@@ -1721,7 +1766,7 @@ impl<'a> Parser<'a> {
                     span: start.merge(Span::new(s, e)),
                 });
             }
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             let span = start.merge(e.span());
             let arg = if e.span().is_synthetic() {
                 Symbol::intern("")
@@ -1734,7 +1779,7 @@ impl<'a> Parser<'a> {
         if t.is(Punct::LParen) {
             if let Some((ty, after)) = self.try_cast_head()? {
                 self.pos = after;
-                let expr = self.unary()?;
+                let expr = self.nested(Self::unary)?;
                 let span = t.span.merge(expr.span());
                 return Ok(Expr::Cast {
                     ty,

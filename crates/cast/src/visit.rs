@@ -170,45 +170,56 @@ pub fn deep_stmt_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
     walk_stmt(s, &mut |st| stmt_exprs(st, f));
 }
 
-/// Call `f` on every function definition in the unit (descending into
-/// namespaces and extern blocks).
-pub fn walk_functions<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a FunctionDef)) {
-    fn rec<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a FunctionDef)) {
+/// Call `f` on every *leaf* item of the unit — function, declaration or
+/// directive — in source order, descending into namespaces and extern
+/// blocks (which are not themselves reported). Leaf items never nest, so
+/// their spans come out sorted and disjoint.
+pub fn walk_items<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a Item)) {
+    fn rec<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a Item)) {
         for it in items {
             match it {
-                Item::Function(fd) => f(fd),
                 Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => rec(items, f),
-                _ => {}
+                _ => f(it),
             }
         }
     }
     rec(&tu.items, f);
 }
 
+/// Call `f` on every function definition in the unit (descending into
+/// namespaces and extern blocks).
+pub fn walk_functions<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a FunctionDef)) {
+    walk_items(tu, &mut |it| {
+        if let Item::Function(fd) = it {
+            f(fd)
+        }
+    });
+}
+
+/// Call `f` on every expression of one leaf item: a function's body or a
+/// declaration's initializers.
+pub fn item_exprs<'a>(it: &'a Item, f: &mut dyn FnMut(&'a Expr)) {
+    match it {
+        Item::Function(fd) => {
+            for st in &fd.body.stmts {
+                deep_stmt_exprs(st, f);
+            }
+        }
+        Item::Decl(d) => {
+            for dr in &d.declarators {
+                if let Some(init) = &dr.init {
+                    walk_expr(init, f);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
 /// Call `f` on every expression in the unit (function bodies and
 /// initializers).
 pub fn walk_all_exprs<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a Expr)) {
-    fn rec<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a Expr)) {
-        for it in items {
-            match it {
-                Item::Function(fd) => {
-                    for st in &fd.body.stmts {
-                        deep_stmt_exprs(st, f);
-                    }
-                }
-                Item::Decl(d) => {
-                    for dr in &d.declarators {
-                        if let Some(init) = &dr.init {
-                            walk_expr(init, f);
-                        }
-                    }
-                }
-                Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => rec(items, f),
-                Item::Directive(_) => {}
-            }
-        }
-    }
-    rec(&tu.items, f);
+    walk_items(tu, &mut |it| item_exprs(it, f));
 }
 
 #[cfg(test)]

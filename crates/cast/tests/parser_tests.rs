@@ -581,3 +581,55 @@ fn adversarial_names_in_strings_and_comments() {
     assert!(idents.iter().any(|i| *i == "printf"));
     assert!(!idents.iter().any(|i| *i == "curand_uniform_double"));
 }
+
+/// Parse `src` on a thread with a corpus worker's stack: input near the
+/// nesting budget recurses deeper than a test thread's default allows in
+/// a debug build.
+fn parse_deep(src: String) -> Result<TranslationUnit, String> {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            parse_translation_unit(&src, ParseOptions::c(), &NoMeta).map_err(|e| e.to_string())
+        })
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn nesting_budget_is_exact() {
+    use cocci_cast::parser::MAX_NESTING;
+    // Item, `return` statement and its expression take three levels;
+    // each parenthesis adds one.
+    let parens = |k: usize| {
+        format!(
+            "int f(void) {{ return {}1{}; }}",
+            "(".repeat(k),
+            ")".repeat(k)
+        )
+    };
+    assert!(parse_deep(parens(MAX_NESTING - 3)).is_ok());
+    let err = parse_deep(parens(MAX_NESTING - 2)).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    // Blocks: the item plus one statement level per brace.
+    let braces = |k: usize| format!("void g(void) {}{}", "{".repeat(k + 1), "}".repeat(k + 1));
+    assert!(parse_deep(braces(MAX_NESTING - 1)).is_ok());
+    assert!(parse_deep(braces(MAX_NESTING)).is_err());
+    // Prefix operators, assignment chains and nested initializers are
+    // bounded too, so no input recurses without limit.
+    for deep in [
+        format!("int x = {}1;", "-".repeat(10 * MAX_NESTING)),
+        format!(
+            "void h(void) {{ a {} 1; }}",
+            "= a ".repeat(10 * MAX_NESTING)
+        ),
+        format!(
+            "int y[] = {}{};",
+            "{".repeat(10 * MAX_NESTING),
+            "}".repeat(10 * MAX_NESTING)
+        ),
+    ] {
+        let err = parse_deep(deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+}

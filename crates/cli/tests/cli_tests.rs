@@ -1122,6 +1122,66 @@ fn scan_mode_attributes_findings_to_rules_and_counts_suppressions() {
 }
 
 #[test]
+fn scan_survives_files_nested_past_the_parser_budget() {
+    // Deep nesting used to overflow a worker's stack and abort the run
+    // with no report. Each over-deep file now fails alone at the parse
+    // stage, and the normal file's findings are those of a run without
+    // them.
+    let dir = tmpdir("scan-deep");
+    let rules = write_rules_dir(&dir);
+    let tree = dir.join("tree");
+    fs::create_dir_all(&tree).unwrap();
+    fs::write(
+        tree.join("normal.c"),
+        "void g(void) {\n    alpha(q + 7);\n}\n",
+    )
+    .unwrap();
+    let scan = |tree: &std::path::Path, report: &std::path::Path| {
+        spatch()
+            .arg("scan")
+            .arg("--rules")
+            .arg(&rules)
+            .arg("--report")
+            .arg(report)
+            .arg(tree)
+            .output()
+            .unwrap()
+    };
+    let alone = scan(&tree, &dir.join("alone.json"));
+    assert!(alone.status.success(), "{alone:?}");
+    let parens = format!("{}1{}", "(".repeat(3000), ")".repeat(3000));
+    fs::write(
+        tree.join("paren.c"),
+        format!("void p(int x) {{ alpha(x); return {parens}; }}\n"),
+    )
+    .unwrap();
+    let braces = format!("{}{}", "{".repeat(5000), "}".repeat(5000));
+    fs::write(
+        tree.join("brace.c"),
+        format!("void b(int x) {{ alpha(x); {braces} }}\n"),
+    )
+    .unwrap();
+
+    let out = scan(&tree, &dir.join("deep.json"));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(out.stdout, alone.stdout);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    assert!(stderr.contains("2 error"), "{stderr}");
+    let report = fs::read_to_string(dir.join("deep.json")).unwrap();
+    for name in ["brace.c", "paren.c"] {
+        assert!(
+            report.contains(&format!("{name}\", \"status\": \"error\"")),
+            "{name}: {report}"
+        );
+    }
+    let parse_killed = report
+        .matches("\"kill_stage\": \"parse\", \"rules\"")
+        .count();
+    assert_eq!(parse_killed, 2, "{report}");
+}
+
+#[test]
 fn scan_mode_flag_validation() {
     // scan without --rules.
     let out = spatch().arg("scan").arg("x.c").output().unwrap();

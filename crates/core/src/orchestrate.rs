@@ -525,7 +525,7 @@ impl Patcher {
         &self,
         ri: usize,
         t: &TransformRule,
-        tu: &TranslationUnit,
+        tu: &Arc<TranslationUnit>,
         version: &mut FileContext,
         streams: &[ExportedEnv],
     ) -> Result<
@@ -632,6 +632,18 @@ impl Patcher {
             _ => None,
         };
 
+        // A tree-routed expression or statement pattern visits only the
+        // items holding all of the rule's prefilter atoms (see
+        // `find_matches_in`); atomless rules, item patterns and the flow
+        // route walk the whole unit.
+        let atoms = match (&flow_search, &t.body.pattern) {
+            (None, Pattern::Expr(_) | Pattern::Stmts(_)) => self.compiled.rules[ri]
+                .atoms
+                .as_deref()
+                .filter(|a| !a.is_empty()),
+            _ => None,
+        };
+
         let mut all_matches: Vec<MatchState> = Vec::new();
         let mut new_streams: Vec<ExportedEnv> = Vec::new();
         let mut claimed: Vec<(Span, u32)> = Vec::new();
@@ -646,7 +658,8 @@ impl Patcher {
                 }
                 None => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::TreeMatch, rule_label);
-                    let found = find_matches(&ctx, &t.body.pattern, tu, seed);
+                    let only = atoms.map(|a| version.anchor_items(tu, a));
+                    let found = find_matches_in(&ctx, &t.body.pattern, tu, seed, only.as_deref());
                     // Tree route: a full-pattern match *is* the anchor
                     // hit (no separate gap/binding stages).
                     probe.anchors += found.len() as u64;
@@ -882,31 +895,65 @@ pub fn find_matches(
     tu: &TranslationUnit,
     seed: &Env,
 ) -> Vec<MatchState> {
+    find_matches_in(ctx, pattern, tu, seed, None)
+}
+
+/// [`find_matches`] over a subset of the unit's leaf items: with
+/// `Some(only)` (ascending numbers in [`visit::walk_items`] order), an
+/// expression pattern walks only those items' expressions, and a
+/// statement pattern only those functions' block windows and nested
+/// statements. The top-level pseudo-statement dual and item patterns
+/// always see the whole unit.
+///
+/// The result equals the unrestricted walk whenever `only` holds every
+/// item that can contain a match — what [`FileContext::anchor_items`]
+/// returns for the rule's prefilter atoms.
+pub(crate) fn find_matches_in(
+    ctx: &MatchCtx,
+    pattern: &Pattern,
+    tu: &TranslationUnit,
+    seed: &Env,
+    only: Option<&[u32]>,
+) -> Vec<MatchState> {
+    let visited = || {
+        let mut items: Vec<&Item> = Vec::new();
+        visit::walk_items(tu, &mut |it| items.push(it));
+        match only {
+            Some(only) => only.iter().map(|&i| items[i as usize]).collect(),
+            None => items,
+        }
+    };
     let mut out = Vec::new();
     match pattern {
         Pattern::Expr(pat) => {
-            visit::walk_all_exprs(tu, &mut |e| {
-                let mut st = MatchState {
-                    env: seed.clone(),
-                    ..Default::default()
-                };
-                if matcher::match_expr(ctx, pat, e, &mut st) {
-                    // Record the root pair for the rewriter.
-                    st.pairs.push(crate::matcher::Pair {
-                        pat: pat.span(),
-                        src: e.span(),
-                        kind: crate::matcher::PairKind::Expr,
-                    });
-                    out.push(st);
-                }
-            });
+            for it in visited() {
+                visit::item_exprs(it, &mut |e| {
+                    let mut st = MatchState {
+                        env: seed.clone(),
+                        ..Default::default()
+                    };
+                    if matcher::match_expr(ctx, pat, e, &mut st) {
+                        // Record the root pair for the rewriter.
+                        st.pairs.push(crate::matcher::Pair {
+                            pat: pat.span(),
+                            src: e.span(),
+                            kind: crate::matcher::PairKind::Expr,
+                        });
+                        out.push(st);
+                    }
+                });
+            }
         }
         Pattern::Stmts(pats) => {
-            // Match inside every block of every function.
-            let mut blocks: Vec<&Block> = Vec::new();
-            visit::walk_functions(tu, &mut |f| {
-                blocks.push(&f.body);
-            });
+            // Match inside every block of every visited function.
+            let fns: Vec<&FunctionDef> = visited()
+                .into_iter()
+                .filter_map(|it| match it {
+                    Item::Function(f) => Some(f),
+                    _ => None,
+                })
+                .collect();
+            let mut blocks: Vec<&Block> = fns.iter().map(|f| &f.body).collect();
             let mut nested: Vec<&Block> = Vec::new();
             for b in &blocks {
                 for s in &b.stmts {
@@ -927,7 +974,7 @@ pub fn find_matches(
             if pats.len() == 1 && !matches!(pats[0], Stmt::Dots { .. } | Stmt::MetaStmtList { .. })
             {
                 let mut nested_stmts: Vec<&Stmt> = Vec::new();
-                visit::walk_functions(tu, &mut |f| {
+                for f in &fns {
                     for s in &f.body.stmts {
                         visit::walk_stmt(s, &mut |st| {
                             if !matches!(st, Stmt::Block(_)) {
@@ -935,7 +982,7 @@ pub fn find_matches(
                             }
                         });
                     }
-                });
+                }
                 for s in nested_stmts {
                     let mut st = MatchState {
                         env: seed.clone(),

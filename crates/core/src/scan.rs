@@ -251,21 +251,26 @@ fn scan_file(
 /// Run one surviving rule on the file's shared context and fold its
 /// result into `out`.
 fn run_rule(rule: &ScanRule, ctx: &mut FileContext, opts: &ExecOptions, out: &mut ScanOutcome) {
-    let t0 = Instant::now();
+    let (t0, shared0) = (Instant::now(), ctx.shared_time());
     let run = run_patch(&mut opts.patcher(&rule.compiled), ctx, Some(&rule.meta));
     let id = &rule.meta.id;
     if let (None, Some(e)) = (&out.error, &run.error) {
         out.error = Some(format!("rule {id}: {e}"));
     }
     // Failed attempts keep their elapsed time too: a timed-out or
-    // crashing rule is exactly what slow-file accounting must see.
+    // crashing rule is exactly what slow-file accounting must see. The
+    // file's parse and other shared state serve all its rules, so they
+    // are not charged to whichever rule asked first.
     out.rules.push(RuleOutcome {
         id: id.clone(),
         status: run.status(),
         matches: run.matches,
         findings: run.findings.len(),
         suppressed: run.suppressed,
-        seconds: t0.elapsed().as_secs_f64(),
+        seconds: t0
+            .elapsed()
+            .saturating_sub(ctx.shared_time() - shared0)
+            .as_secs_f64(),
         kill_stage: run.kill_stage,
     });
     out.findings.extend(run.findings);

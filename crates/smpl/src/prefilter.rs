@@ -28,6 +28,32 @@
 //!
 //! An empty atom set means "cannot prefilter" (the rule may match any
 //! file), never "matches nothing".
+//!
+//! # Item-level contract
+//!
+//! The guarantee is stronger than "somewhere in the file": every atom
+//! occurs verbatim inside the source span of the *leaf item* — function
+//! definition, top-level declaration or directive, namespaces and
+//! `extern "C"` blocks looked through — that holds a tree match of the
+//! rule. The tree matcher (`cocci-core`) relies on this to visit only the
+//! items holding all of a rule's atoms. It holds because each atom is
+//! witnessed by a source token that the match itself consumed, and an
+//! expression or in-function statement match lies inside one item:
+//!
+//! * identifiers, `symbol` metavariables and name segments are compared
+//!   by name against identifier tokens of the matched code;
+//! * string, char and float literals are compared by raw text against
+//!   the matched literal token;
+//! * statement keywords (`if`, `for`, `return`, …) belong to the matched
+//!   statement, and type keywords and qualifiers to a matched type;
+//! * directive words come from the matched directive line;
+//! * regex literal factors lie inside the identifier token bound to the
+//!   constrained metavariable;
+//! * `<<<` is the matched kernel launch's own marker, and `sizeof` with
+//!   its literal argument text the matched `sizeof` expression.
+//!
+//! No atom comes from a metavariable's declared type, a `when` clause or
+//! an inherited binding, so nothing outside the matched code is needed.
 
 use crate::{Constraint, MetaDecl, MetaDeclKind, Pattern, TransformRule};
 use cocci_cast::ast::*;

@@ -277,6 +277,25 @@ expression list el;
     let out = apply(patch, "void g(void) { compute(1); debug_log(2); }\n").unwrap();
     assert!(out.contains("traced(compute, 1);"), "{out}");
     assert!(out.contains("debug_log(2);"), "{out}");
+
+    // A negated character class inside `=~`: only `api_z` qualifies.
+    // (Release builds once parsed `[^0-9]` as the positive `[0-9]`.)
+    let report = r#"
+@r@
+identifier f =~ "^api_[^0-9]";
+expression e;
+position p;
+@@
+f(e)@p;
+"#;
+    let sp = parse_semantic_patch(report).unwrap();
+    let mut p = Patcher::new(&sp).unwrap();
+    assert!(p
+        .apply("t.c", "void g(void) { api_1(x); api_z(x); }\n")
+        .unwrap()
+        .is_none());
+    let flagged: Vec<u32> = p.last_stats.findings.iter().map(|f| f.col).collect();
+    assert_eq!(flagged, [26], "only api_z: {:?}", p.last_stats.findings);
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! edits, finalize blocks, statistics, and parser resilience on
 //! real-world-shaped C.
 
-use cocci_core::{apply_to_files, Patcher};
+use cocci_cast::parser::MAX_NESTING;
+use cocci_core::{apply_batch, apply_to_files, CompiledPatch, KillStage, Patcher};
 use cocci_smpl::parse_semantic_patch;
+use std::sync::Arc;
 
 // ---- failure paths ----
 
@@ -13,6 +15,60 @@ fn unparsable_target_is_an_error_not_a_panic() {
     let mut p = Patcher::new(&patch).unwrap();
     let err = p.apply("t.c", "void f( { garbage").unwrap_err();
     assert!(err.to_string().contains("cannot parse"), "{err}");
+}
+
+#[test]
+fn over_deep_files_fail_alone_on_workers() {
+    // Nesting past the parser's budget used to overflow a worker's stack
+    // and abort the whole run. It is now that file's parse error; the
+    // other files of the batch, one of them exactly at the budget, are
+    // matched as usual.
+    let patch =
+        parse_semantic_patch("@r@\nexpression e;\nposition p;\n@@\napi_0(e, 0)@p\n").unwrap();
+    let compiled = Arc::new(CompiledPatch::compile(&patch).unwrap());
+    // Item, `return` and its expression take three levels, each
+    // parenthesis one, and the call's argument one more.
+    let innermost_call = |k: usize| {
+        format!(
+            "void f(int x) {{\n  return {}api_0(x, 0){};\n}}\n",
+            "(".repeat(k),
+            ")".repeat(k)
+        )
+    };
+    let normal = "void n(int x) {\n  api_0(x, 0);\n}\n".to_string();
+    let files = vec![
+        (
+            "paren.c".to_string(),
+            format!(
+                "void p(int x) {{ api_0(x, 0); return {}1{}; }}\n",
+                "(".repeat(3000),
+                ")".repeat(3000)
+            ),
+        ),
+        (
+            "brace.c".to_string(),
+            format!(
+                "void b(int x) {{ api_0(x, 0); {}{} }}\n",
+                "{".repeat(5000),
+                "}".repeat(5000)
+            ),
+        ),
+        ("at_budget.c".to_string(), innermost_call(MAX_NESTING - 4)),
+        ("over_budget.c".to_string(), innermost_call(MAX_NESTING - 3)),
+        ("normal.c".to_string(), normal.clone()),
+    ];
+    let alone = apply_batch(&compiled, &[("normal.c".to_string(), normal)], 1, true);
+    for threads in [1, 2] {
+        let out = apply_batch(&compiled, &files, threads, true);
+        for o in [&out[0], &out[1], &out[3]] {
+            let err = o.error.as_deref().unwrap_or_default();
+            assert!(err.contains("nesting deeper than"), "{}: {err:?}", o.name);
+            assert_eq!(o.kill_stage, Some(KillStage::Parse), "{}", o.name);
+        }
+        assert_eq!(out[2].error, None);
+        assert_eq!(out[2].findings.len(), 1, "{:?}", out[2].findings);
+        assert_eq!(out[4].findings, alone[0].findings);
+    }
 }
 
 #[test]
