@@ -112,7 +112,6 @@ test -s target/BENCH_scaling.json
 grep -q speedup_max target/BENCH_scaling.json
 grep -q allocs_per_parsed_file target/BENCH_scaling.json
 grep -q peak_rss_bytes target/BENCH_scaling.json
-grep -q pool_steals target/BENCH_scaling.json
 grep -q pool_idle_frac target/BENCH_scaling.json
 grep -q queue_depth_max target/BENCH_scaling.json
 # Telemetry must be effectively free: the bench times the corpus driver
@@ -252,6 +251,12 @@ cargo run --release -q -p cocci-examples --example trace_check --locked -- \
   target/TRACE_scan.json "$TRACE_ROOT/report.json"
 grep -q '^  phase parse: spans=[1-9]' "$TRACE_ROOT/stats.txt"
 grep -q '^  counter files_parsed: [1-9]' "$TRACE_ROOT/stats.txt"
+# Phase totals are exact: each parse opens one span and bumps the
+# files_parsed counter once, so the two numbers must be equal.
+PARSE_SPANS=$(sed -n 's/^  phase parse: spans=\([0-9]*\) .*/\1/p' "$TRACE_ROOT/stats.txt")
+FILES_PARSED=$(sed -n 's/^  counter files_parsed: \([0-9]*\)$/\1/p' "$TRACE_ROOT/stats.txt")
+[ -n "$PARSE_SPANS" ] && [ "$PARSE_SPANS" = "$FILES_PARSED" ] \
+  || { echo "parse spans ${PARSE_SPANS} != files_parsed ${FILES_PARSED}"; exit 1; }
 grep -q '^  pool: workers=' "$TRACE_ROOT/stats.txt"
 echo "ok: traced scan reconciles across trace/stats/report (trace at target/TRACE_scan.json)"
 

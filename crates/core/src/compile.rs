@@ -8,8 +8,9 @@
 //! must contain for the rule to possibly match, see
 //! [`cocci_smpl::prefilter`]). The result is immutable and is shared
 //! behind an [`Arc`] by every worker thread; per-application mutable state
-//! (script-interpreter globals, statistics) stays in
-//! [`Patcher`](crate::Patcher).
+//! (the statistics of the last application) stays in
+//! [`Patcher`](crate::Patcher), and script-interpreter globals live only
+//! as long as one application.
 
 use crate::flowmatch::{self, FlowPattern};
 use crate::orchestrate::ApplyError;

@@ -4,14 +4,16 @@
 //! `&[(String, String)]`. [`FileSource`] streams files in
 //! **bounded-memory batches**: a source yields at most
 //! [`BatchOptions::max_files`] files / `max_bytes` bytes of text per
-//! call. The corpus driver hands the files to its workers, records
-//! outcomes into an [`ApplyReport`] in walk order,
-//! and pulls the next batch only once at most one batch's worth of files
-//! still awaits output, so at most two batches of text are in memory.
+//! call. The corpus driver pushes the files onto one FIFO queue that
+//! its workers drain, records outcomes into an [`ApplyReport`] in walk
+//! order, and pulls the next batch only once at most one batch's worth
+//! of files still awaits output, so at most two batches of text are in
+//! memory.
 //!
 //! That driver is the only scheduler in the crate: apply and scan,
 //! streaming and in-memory entry points all run through it, differing
-//! only in the per-file job.
+//! only in the per-file job, which keeps no state from one file to the
+//! next.
 //!
 //! Two sources are provided:
 //!
@@ -435,8 +437,7 @@ pub fn apply_to_corpus_resumed(
         source,
         opts,
         previous,
-        || exec.patcher(&compiled),
-        |patcher, name, text, hash| run_one(patcher, &compiled, name, text, hash, &exec),
+        |name, text, hash| run_one(&compiled, name, text, hash, &exec),
         |name, text, outcome| sink(name, text, &outcome),
     ))
 }
@@ -470,11 +471,10 @@ enum Done<O> {
 
 /// Run `files` through [`drive`] as one in-memory batch and return the
 /// outcomes in input order (the `apply_batch`/`scan_batch` adapters).
-pub(crate) fn drive_memory<W, O: Outcome>(
+pub(crate) fn drive_memory<O: Outcome>(
     files: &[(String, String)],
     threads: usize,
-    worker: impl Fn() -> W + Sync,
-    run: impl Fn(&mut W, &str, &str, u64) -> O + Sync,
+    run: impl Fn(&str, &str, u64) -> O + Sync,
 ) -> Vec<O> {
     let opts = CorpusOptions {
         threads,
@@ -486,31 +486,31 @@ pub(crate) fn drive_memory<W, O: Outcome>(
     };
     let mut out = Vec::with_capacity(files.len());
     let mut source = MemorySource::new(files.iter().cloned());
-    drive(&mut source, &opts, None, worker, run, |_, _, o| out.push(o));
+    drive(&mut source, &opts, None, run, |_, _, o| out.push(o));
     out
 }
 
 /// The corpus driver behind every apply and scan entry point, generic
 /// only over the per-file job.
 ///
-/// One persistent worker team runs for the whole corpus; each worker
-/// builds its job state once with `worker`. This thread walks `source`
-/// and streams files into a work-stealing queue, so there is no
-/// per-batch join barrier. A worker hashes each file it pops (the one
-/// hash per file), copies the row of `previous` forward when it holds a
-/// resumable entry under the same hash, and otherwise runs `run`.
+/// One persistent worker team runs for the whole corpus. This thread
+/// walks `source` and pushes files, in walk order, onto one FIFO queue,
+/// so there is no per-batch join barrier: whichever worker is free takes
+/// the oldest file. A worker hashes each file it pops (the one hash per
+/// file), copies the row of `previous` forward when it holds a resumable
+/// entry under the same hash, and otherwise runs `run`. `run` keeps no
+/// state from one file to the next.
 ///
 /// Every file the walk encounters (run, resumed, or unreadable) reserves
 /// one ordered result slot, so `sink` and the report observe walk order
 /// whatever the completion order was. Before reading the next batch, the
 /// walker waits until at most one batch's worth of files is reserved but
 /// not yet emitted: at most two batches of text are in memory.
-pub(crate) fn drive<W, O: Outcome>(
+pub(crate) fn drive<O: Outcome>(
     source: &mut dyn FileSource,
     opts: &CorpusOptions,
     previous: Option<&ApplyReport>,
-    worker: impl Fn() -> W + Sync,
-    run: impl Fn(&mut W, &str, &str, u64) -> O + Sync,
+    run: impl Fn(&str, &str, u64) -> O + Sync,
     mut sink: impl FnMut(&str, &str, O),
 ) -> ApplyReport {
     // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
@@ -537,13 +537,12 @@ pub(crate) fn drive<W, O: Outcome>(
 
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let (queue, slots, prev, worker, run) = (&queue, &slots, &prev, &worker, &run);
+            let (queue, slots, prev, run) = (&queue, &slots, &prev, &run);
             let spawn = std::thread::Builder::new()
                 .name(format!("worker-{w}"))
                 .stack_size(WORKER_STACK_BYTES);
             let handle = spawn.spawn_scoped(scope, move || {
-                let mut state = worker();
-                while let Some((slot, name, text)) = queue.pop(w) {
+                while let Some((slot, name, text)) = queue.pop() {
                     let hash = content_hash(&text);
                     let done = match prev.get(name.as_str()) {
                         // A prior `timeout`/`error` row records a failed
@@ -555,7 +554,7 @@ pub(crate) fn drive<W, O: Outcome>(
                             })
                         }
                         _ => {
-                            let outcome = run(&mut state, &name, &text, hash);
+                            let outcome = run(&name, &text, hash);
                             Done::Ran(name, text, outcome)
                         }
                     };
@@ -635,9 +634,9 @@ pub(crate) fn drive<W, O: Outcome>(
             if batch.is_empty() {
                 break;
             }
-            // One file per push, round-robin over the shards: workers pop
-            // their shard front first, so the whole team works through
-            // a batch in walk order while the next one waits behind it.
+            // One file per push: the team takes files in walk order, so
+            // a batch is worked through while the next one waits behind
+            // it.
             for (name, text) in batch {
                 ahead.push_back(text.len());
                 queue.push((slots.reserve(1), name, text));
@@ -654,7 +653,7 @@ pub(crate) fn drive<W, O: Outcome>(
     // Workers are gone: every span for this run is recorded, so a traced
     // run can embed an exact aggregate alongside the pool's counters.
     let metrics = cocci_trace::is_enabled()
-        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats())));
+        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(queue.stats())));
     if let Some(block) = explain.as_mut() {
         block.finish();
     }
@@ -984,7 +983,7 @@ mod tests {
     }
 
     /// The streaming pool must not leak scheduling into observable
-    /// output: whatever the thread count, batch size, or steal pattern,
+    /// output: whatever the thread count, batch size, or completion order,
     /// the sink stream and the report are byte-identical — and a thread
     /// count larger than any single batch still engages every worker
     /// (the old per-batch driver clamped threads to the batch size).

@@ -10,8 +10,8 @@
 //! surviving rule.
 //!
 //! The patch is compiled **once** per run ([`CompiledPatch`]) and shared
-//! immutably by every worker; each worker only builds a cheap
-//! [`Patcher`] wrapper for its mutable per-application state. A compile
+//! immutably by every worker; each file only builds a cheap [`Patcher`]
+//! wrapper for its mutable per-application state. A compile
 //! error therefore surfaces exactly once, as the run-level `Err` of
 //! [`apply_to_files`], instead of being repeated for every file. With
 //! `prefilter` enabled, [`apply_batch`] skips lexing/parsing entirely for
@@ -135,9 +135,10 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// A [`Patcher`] over `compiled` with these knobs. Script-interpreter
-    /// globals are per-application state, so each worker (apply) or rule
-    /// application (scan) gets its own; the compiled patch is shared.
+    /// A [`Patcher`] over `compiled` with these knobs. It is cheap (the
+    /// compiled patch is shared) and carries nothing from one file to
+    /// the next, so each file (apply) or rule application (scan) builds
+    /// its own.
     pub(crate) fn patcher(&self, compiled: &Arc<CompiledPatch>) -> Patcher {
         let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
         patcher.flow_enabled = self.flow;
@@ -189,12 +190,9 @@ pub fn apply_batch_opts(
     files: &[(String, String)],
     opts: &ExecOptions,
 ) -> Vec<FileOutcome> {
-    drive_memory(
-        files,
-        opts.threads,
-        || opts.patcher(compiled),
-        |patcher, name, text, hash| run_one(patcher, compiled, name, text, hash, opts),
-    )
+    drive_memory(files, opts.threads, |name, text, hash| {
+        run_one(compiled, name, text, hash, opts)
+    })
 }
 
 thread_local! {
@@ -247,17 +245,19 @@ fn catch_matcher_panics<T>(
 
 /// One prefilter-killed attempt per transform rule of the patch, with
 /// the absent required atoms as the `--explain` detail. Each attempt is
-/// recorded as it is made.
-fn prefilter_attempts(
+/// recorded as it is made. `scan_id` attributes the attempts to a scan
+/// rule, as [`run_patch`] does.
+pub(crate) fn prefilter_attempts(
     compiled: &CompiledPatch,
     name: &str,
     text: &str,
+    scan_id: Option<&str>,
     explain: Option<&ExplainConfig>,
 ) -> Vec<RuleAttempt> {
     let mut attempts = Vec::new();
     for (ri, rule) in compiled.patch.rules.iter().enumerate() {
         let Rule::Transform(t) = rule else { continue };
-        let label = t.name.as_deref().unwrap_or("<anonymous>");
+        let label = scan_id.unwrap_or_else(|| t.name.as_deref().unwrap_or("<anonymous>"));
         let detail =
             explain
                 .filter(|cfg| cfg.matches(name, label))
@@ -285,8 +285,7 @@ fn prefilter_attempts(
 /// The apply job: run the per-file pipeline (prefilter scan, then full
 /// apply) once. `hash` is the content hash of `text`.
 pub(crate) fn run_one(
-    patcher: &mut Patcher,
-    compiled: &CompiledPatch,
+    compiled: &Arc<CompiledPatch>,
     name: &str,
     text: &str,
     hash: u64,
@@ -298,10 +297,11 @@ pub(crate) fn run_one(
         compiled.may_match(text)
     };
     let mut out = if survives {
-        run_patch(patcher, &mut FileContext::with_hash(name, text, hash), None)
+        let mut ctx = FileContext::with_hash(name, text, hash);
+        run_patch(&mut opts.patcher(compiled), &mut ctx, None)
     } else {
         cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        let attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
+        let attempts = prefilter_attempts(compiled, name, text, None, opts.explain.as_deref());
         FileOutcome {
             pruned: true,
             kill_stage: attempts.iter().map(|a| a.stage).max(),

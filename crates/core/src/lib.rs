@@ -19,8 +19,8 @@
 //! The patch is compiled **once** per run ([`compile::CompiledPatch`]:
 //! regex constraints, inheritance graph, per-rule prefilter atoms) and
 //! shared immutably across workers. The [`corpus`] module holds the one
-//! corpus driver: a persistent work-stealing worker team that streams
-//! whole directory trees through steps 1–4, file by file, in
+//! corpus driver: a persistent worker team fed by one FIFO queue, which
+//! streams whole directory trees through steps 1–4, file by file, in
 //! bounded-memory batches, emitting a machine-readable [`ApplyReport`].
 //! The [`driver`] (one patch) and [`scan`] (a rule collection) modules
 //! supply its per-file jobs and their entry points.
@@ -46,7 +46,7 @@ pub mod findings;
 pub mod flowmatch;
 pub mod matcher;
 pub mod orchestrate;
-pub mod pool;
+mod pool;
 pub mod report;
 pub mod rewrite;
 pub mod ruleset;
@@ -67,7 +67,6 @@ pub use findings::{to_sarif, to_sarif_with, Finding, SarifRule};
 pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep, SearchProbe};
 pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
-pub use pool::{resolve_threads, PoolStats, ResultSlots, WorkQueue};
 pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};
 pub use ruleset::{parse_rule_metadata, CompiledRuleSet, RuleMeta, ScanRule, Severity};
 pub use scan::{scan_batch, scan_corpus, RuleOutcome, ScanOutcome};

@@ -103,10 +103,12 @@ pub struct ApplyStats {
 ///
 /// The expensive, immutable per-patch artifacts (rule patterns, compiled
 /// regexes, prefilters) live in a shared [`CompiledPatch`]; a `Patcher`
-/// only adds the per-application mutable state (script-interpreter
-/// globals, statistics), so building one from an existing compile is
-/// cheap — the driver compiles once and hands every worker its own
-/// `Patcher` over the same `Arc`.
+/// only adds its knobs and the statistics of its last application.
+/// Script-interpreter globals live in each application (every
+/// [`apply_ctx`](Patcher::apply_ctx) starts a fresh interpreter), so
+/// nothing carries from one file to the next and building a `Patcher`
+/// is cheap — the driver compiles once and builds one per file over the
+/// same `Arc`.
 pub struct Patcher {
     compiled: Arc<CompiledPatch>,
     /// Statistics of the most recent `apply` call (reset when it starts).
@@ -136,7 +138,7 @@ impl Patcher {
         )?)))
     }
 
-    /// A patcher over an already-compiled patch (no per-worker recompile).
+    /// A patcher over an already-compiled patch (no recompile).
     pub fn from_compiled(compiled: Arc<CompiledPatch>) -> Self {
         Patcher {
             compiled,

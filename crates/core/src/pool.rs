@@ -1,210 +1,108 @@
-//! Work-stealing queue and ordered result slots for corpus runs.
+//! FIFO work queue and ordered result slots for corpus runs.
 //!
-//! The original drivers spawned a fresh scoped-thread team per batch and
-//! joined it at the batch boundary — a barrier at which every worker
-//! idles while the slowest file of the batch finishes, repeated once per
-//! batch. The corpus driver now keeps **one persistent team** alive for
+//! The corpus driver keeps **one persistent team** of workers alive for
 //! the whole run and feeds it through a [`WorkQueue`]: the producer (the
-//! walker thread) streams work units while workers drain, and an idle
-//! worker steals from its neighbours instead of waiting for the next
-//! batch.
+//! walker thread) pushes files in walk order while workers drain, and
+//! whichever worker is free takes the oldest file. There is no batch
+//! boundary at which the team idles, and no per-worker queue to balance.
 //!
 //! Determinism is preserved by separating *scheduling* from *output
 //! order*: every unit carries the index of a preassigned cell in a
 //! [`ResultSlots`], reserved by the producer in encounter order. Workers
 //! complete cells in any order; the producer drains the filled prefix in
 //! index order, so sinks and reports observe exactly the sequence the
-//! walker produced, byte-identical across thread counts, steal patterns
-//! and batch-size choices.
+//! walker produced, byte-identical across thread counts, completion
+//! orders and batch-size choices.
 //!
-//! Both types are std-only: shards are `Mutex<VecDeque>`s (an uncontended
-//! lock is a compare-and-swap — the units here are whole-file parses, so
-//! queue overhead is noise) and blocking uses one `Condvar`.
+//! Both types are std-only: one `Mutex` around a `VecDeque` and one
+//! `Condvar` each. The units are whole files, so queue overhead is
+//! noise.
 
+use crate::report::PoolMetrics;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Scheduler-health counters for one [`WorkQueue`] (one corpus run).
+/// A FIFO queue shared by a producer and a team of workers.
 ///
-/// Kept unconditionally — each is a relaxed atomic touched only on the
-/// push path or the already-expensive steal/block path — so scheduler
-/// health is observable even in untraced runs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Shards the queue was sized for (= worker count).
-    pub workers: usize,
-    /// Units a worker took from a neighbour's shard, per worker.
-    pub steals: Vec<u64>,
-    /// Nanoseconds each worker spent blocked waiting for work.
-    pub idle_ns: Vec<u64>,
-    /// High-water mark of units queued and not yet popped.
-    pub queue_depth_max: u64,
-}
-
-impl PoolStats {
-    /// Total steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.steals.iter().sum()
-    }
-
-    /// Total idle nanoseconds across workers.
-    pub fn total_idle_ns(&self) -> u64 {
-        self.idle_ns.iter().sum()
-    }
-
-    /// Fraction of the team's wall-clock budget spent idle, given the
-    /// run's wall time. Clamped to `0..=1`.
-    pub fn idle_frac(&self, wall_seconds: f64) -> f64 {
-        let budget_ns = wall_seconds * 1e9 * self.workers.max(1) as f64;
-        if budget_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.total_idle_ns() as f64 / budget_ns).clamp(0.0, 1.0)
-    }
-}
-
-/// A sharded work queue: one deque per worker plus an overflow shard for
-/// producers, with stealing between shards.
-///
-/// * the producer pushes round-robin across shards (single units spread
-///   over all shards, chunks land on one shard each);
-/// * worker `w` pops from the **front** of shard `w` (FIFO — push order,
-///   which for the corpus driver is walk order, so results complete
-///   roughly in the order they are emitted);
-/// * an idle worker steals from the **back** of the other shards (the
-///   newest work, which the owner would reach last);
-/// * `pop` blocks when everything is empty and returns `None` only after
-///   [`close`](WorkQueue::close).
-pub struct WorkQueue<T> {
-    shards: Box<[Mutex<VecDeque<T>>]>,
-    /// Round-robin cursor for producer pushes.
-    cursor: AtomicUsize,
-    /// Items pushed and not yet popped. Incremented *before* the wakeup
-    /// notification and re-checked under the state lock by sleeping
-    /// workers, so a push between "shards look empty" and "wait" cannot
-    /// be missed.
-    pending: AtomicUsize,
-    closed: Mutex<bool>,
+/// `pop` takes the oldest unit, blocks while the queue is empty, and
+/// returns `None` only after [`close`](WorkQueue::close) once the queue
+/// has drained. Scheduler-health numbers ([`stats`](WorkQueue::stats))
+/// are kept under the same lock, so untraced runs have them too.
+pub(crate) struct WorkQueue<T> {
+    workers: usize,
+    state: Mutex<Queue<T>>,
     cond: Condvar,
-    /// Per-worker counts of units taken from a neighbour's shard.
-    steals: Box<[AtomicU64]>,
-    /// Per-worker nanoseconds spent blocked in `pop`.
-    idle_ns: Box<[AtomicU64]>,
-    /// High-water mark of `pending`.
-    depth_max: AtomicU64,
+}
+
+struct Queue<T> {
+    items: VecDeque<T>,
+    closed: bool,
+    /// High-water mark of `items.len()`.
+    depth_max: u64,
+    /// Nanoseconds workers spent blocked in `pop`, summed.
+    idle_ns: u64,
 }
 
 impl<T> WorkQueue<T> {
-    /// A queue with one shard per worker (at least one).
-    pub fn new(workers: usize) -> WorkQueue<T> {
-        let n = workers.max(1);
+    /// An empty queue for a team of `workers` (at least one).
+    pub(crate) fn new(workers: usize) -> WorkQueue<T> {
         WorkQueue {
-            shards: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cursor: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            closed: Mutex::new(false),
+            workers: workers.max(1),
+            state: Mutex::new(Queue {
+                items: VecDeque::new(),
+                closed: false,
+                depth_max: 0,
+                idle_ns: 0,
+            }),
             cond: Condvar::new(),
-            steals: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            idle_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            depth_max: AtomicU64::new(0),
         }
     }
 
-    /// Snapshot the scheduler-health counters accumulated so far.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.shards.len(),
-            steals: self
-                .steals
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            idle_ns: self
-                .idle_ns
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            queue_depth_max: self.depth_max.load(Ordering::Relaxed),
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        // Nothing that can panic runs under this lock.
+        self.state.lock().expect("work queue lock poisoned")
+    }
+
+    /// The scheduler-health numbers accumulated so far.
+    pub(crate) fn stats(&self) -> PoolMetrics {
+        let q = self.lock();
+        PoolMetrics {
+            workers: self.workers,
+            idle_ns: q.idle_ns,
+            queue_depth_max: q.depth_max,
         }
     }
 
-    /// Number of shards (= workers the queue was sized for).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Push one unit onto the next shard (round-robin).
-    pub fn push(&self, item: T) {
-        let s = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[s].lock().unwrap().push_back(item);
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
-        self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-        let _guard = self.closed.lock().unwrap();
+    /// Append one unit and wake one waiting worker.
+    pub(crate) fn push(&self, item: T) {
+        let mut q = self.lock();
+        q.items.push_back(item);
+        q.depth_max = q.depth_max.max(q.items.len() as u64);
         self.cond.notify_one();
-    }
-
-    /// Push a chunk of units onto one shard, keeping them adjacent (its
-    /// owner processes the run front to back; other workers steal from
-    /// the far end).
-    pub fn push_chunk(&self, items: impl IntoIterator<Item = T>) {
-        let s = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut n = 0usize;
-        {
-            let mut shard = self.shards[s].lock().unwrap();
-            for it in items {
-                shard.push_back(it);
-                n += 1;
-            }
-        }
-        if n > 0 {
-            let depth = self.pending.fetch_add(n, Ordering::SeqCst) + n;
-            self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-            let _guard = self.closed.lock().unwrap();
-            self.cond.notify_all();
-        }
     }
 
     /// Declare the stream finished: blocked and future `pop`s return
     /// `None` once the queue drains.
-    pub fn close(&self) {
-        let mut closed = self.closed.lock().unwrap();
-        *closed = true;
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
         self.cond.notify_all();
     }
 
-    /// Take one unit for worker `worker`: own shard's front first, then
-    /// steal from the back of the others, then block. Returns `None`
-    /// when the queue is closed and empty.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.shards.len();
-        let w = worker % n;
+    /// Take the oldest unit, blocking while the queue is empty. Returns
+    /// `None` when the queue is closed and empty.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut q = self.lock();
         loop {
-            if let Some(item) = self.shards[w].lock().unwrap().pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
+            if let Some(item) = q.items.pop_front() {
                 return Some(item);
             }
-            for off in 1..n {
-                if let Some(item) = self.shards[(w + off) % n].lock().unwrap().pop_back() {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    self.steals[w].fetch_add(1, Ordering::Relaxed);
-                    return Some(item);
-                }
-            }
-            let closed = self.closed.lock().unwrap();
-            // Re-check under the lock: a producer that pushed after our
-            // scan has already bumped `pending`, so we scan again instead
-            // of sleeping through its notification.
-            if self.pending.load(Ordering::SeqCst) > 0 {
-                continue;
-            }
-            if *closed {
+            if q.closed {
                 return None;
             }
             let blocked = Instant::now();
-            let _unused = self.cond.wait(closed).unwrap();
-            self.idle_ns[w].fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            q = self.cond.wait(q).expect("work queue lock poisoned");
+            q.idle_ns += blocked.elapsed().as_nanos() as u64;
         }
     }
 }
@@ -217,7 +115,7 @@ impl<T> WorkQueue<T> {
 /// producer then drains the *filled prefix* — results come out exactly
 /// in reservation order, whatever the completion order was, which is
 /// what keeps corpus output byte-identical across thread counts.
-pub struct ResultSlots<T> {
+pub(crate) struct ResultSlots<T> {
     inner: Mutex<Slots<T>>,
     cond: Condvar,
 }
@@ -228,15 +126,9 @@ struct Slots<T> {
     cells: VecDeque<Option<T>>,
 }
 
-impl<T> Default for ResultSlots<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> ResultSlots<T> {
     /// An empty slot sequence.
-    pub fn new() -> ResultSlots<T> {
+    pub(crate) fn new() -> ResultSlots<T> {
         ResultSlots {
             inner: Mutex::new(Slots {
                 base: 0,
@@ -247,7 +139,7 @@ impl<T> ResultSlots<T> {
     }
 
     /// Reserve `n` consecutive cells; returns the index of the first.
-    pub fn reserve(&self, n: usize) -> usize {
+    pub(crate) fn reserve(&self, n: usize) -> usize {
         let mut s = self.inner.lock().unwrap();
         let start = s.base + s.cells.len();
         s.cells.extend((0..n).map(|_| None));
@@ -255,7 +147,7 @@ impl<T> ResultSlots<T> {
     }
 
     /// Fill cell `index` (reserved earlier; filled exactly once).
-    pub fn set(&self, index: usize, value: T) {
+    pub(crate) fn set(&self, index: usize, value: T) {
         let mut s = self.inner.lock().unwrap();
         let i = index - s.base;
         debug_assert!(s.cells[i].is_none(), "result slot {index} filled twice");
@@ -265,7 +157,7 @@ impl<T> ResultSlots<T> {
 
     /// Pop the filled prefix without blocking (producer-side streaming
     /// drain between batches).
-    pub fn drain_ready(&self) -> Vec<T> {
+    pub(crate) fn drain_ready(&self) -> Vec<T> {
         let mut s = self.inner.lock().unwrap();
         s.take_ready()
     }
@@ -281,7 +173,7 @@ impl<T> ResultSlots<T> {
     }
 
     /// Pop everything, blocking until every reserved cell is filled.
-    pub fn drain_all(&self) -> Vec<T> {
+    pub(crate) fn drain_all(&self) -> Vec<T> {
         let mut s = self.inner.lock().unwrap();
         let mut out = Vec::new();
         loop {
@@ -306,7 +198,7 @@ impl<T> Slots<T> {
 }
 
 /// Resolve a thread-count option: 0 means all available CPUs.
-pub fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -319,26 +211,24 @@ pub fn resolve_threads(threads: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn queue_delivers_everything_once() {
         let q: WorkQueue<usize> = WorkQueue::new(4);
-        assert_eq!(q.shards(), 4);
         let seen = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             let (q, seen) = (&q, &seen);
-            for w in 0..4 {
+            for _ in 0..4 {
                 scope.spawn(move || {
-                    while let Some(i) = q.pop(w) {
+                    while let Some(i) = q.pop() {
                         seen.lock().unwrap().push(i);
                     }
                 });
             }
-            for i in 0..100 {
+            for i in 0..200 {
                 q.push(i);
             }
-            q.push_chunk(100..200);
             q.close();
         });
         let mut got = seen.into_inner().unwrap();
@@ -347,25 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_loaded_shards() {
-        // All items land on shard 0 (single chunk), but worker 0 never
-        // pops — workers 1..3 must steal everything through the fronts
-        // of their neighbours' shards.
-        let q: WorkQueue<usize> = WorkQueue::new(4);
-        q.push_chunk(0..50);
+    fn one_worker_pops_in_push_order() {
+        let q: WorkQueue<usize> = WorkQueue::new(1);
+        for i in 0..50 {
+            q.push(i);
+        }
         q.close();
-        let stolen = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (q, stolen) = (&q, &stolen);
-            for w in 1..4 {
-                scope.spawn(move || {
-                    while q.pop(w).is_some() {
-                        stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(stolen.load(Ordering::Relaxed), 50);
+        let got: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -375,7 +254,7 @@ mod tests {
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                while let Some(v) = q.pop(0) {
+                while let Some(v) = q.pop() {
                     got.fetch_add(v as usize, Ordering::SeqCst);
                 }
                 done.store(true, Ordering::SeqCst);
@@ -434,22 +313,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_steals_and_queue_depth() {
+    fn stats_track_queue_depth() {
         let q: WorkQueue<usize> = WorkQueue::new(4);
-        q.push_chunk(0..50);
-        assert_eq!(q.stats().queue_depth_max, 50);
-        q.close();
-        std::thread::scope(|scope| {
-            let q = &q;
-            for w in 1..4 {
-                scope.spawn(move || while q.pop(w).is_some() {});
-            }
-        });
+        for i in 0..30 {
+            q.push(i);
+        }
+        for _ in 0..10 {
+            q.pop();
+        }
+        for i in 0..5 {
+            q.push(i);
+        }
+        // Depth peaked at 30 before the pops; 25 are queued now.
         let stats = q.stats();
         assert_eq!(stats.workers, 4);
-        // Shard 0's owner never popped, so everything was stolen.
-        assert_eq!(stats.total_steals(), 50);
-        assert_eq!(stats.steals[0], 0);
+        assert_eq!(stats.queue_depth_max, 30);
+        assert_eq!(stats.idle_ns, 0, "nothing ever blocked");
     }
 
     #[test]
@@ -457,14 +336,14 @@ mod tests {
         let q: WorkQueue<u32> = WorkQueue::new(1);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _ = q.pop(0);
+                let _ = q.pop();
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
             q.push(1);
             q.close();
         });
         let stats = q.stats();
-        assert!(stats.total_idle_ns() > 0, "{stats:?}");
+        assert!(stats.idle_ns > 0, "{stats:?}");
         let frac = stats.idle_frac(1.0);
         assert!(frac > 0.0 && frac <= 1.0, "{frac}");
         assert_eq!(stats.idle_frac(0.0), 0.0);

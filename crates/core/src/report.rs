@@ -10,7 +10,6 @@
 use crate::driver::FileOutcome;
 use crate::explain::{ExplainBlock, KillStage};
 use crate::findings::{finding_from_json, finding_to_json, Finding};
-use crate::pool::PoolStats;
 use crate::scan::RuleOutcome;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -149,8 +148,6 @@ impl FileReport {
 pub struct PoolMetrics {
     /// Worker threads the queue was sized for.
     pub workers: usize,
-    /// Units taken from a neighbour's shard, summed over workers.
-    pub steals: u64,
     /// Nanoseconds spent blocked waiting for work, summed over workers.
     pub idle_ns: u64,
     /// High-water mark of queued-but-unpopped units.
@@ -158,16 +155,6 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Collapse a per-worker [`PoolStats`] snapshot into report totals.
-    pub fn from_stats(stats: &PoolStats) -> PoolMetrics {
-        PoolMetrics {
-            workers: stats.workers,
-            steals: stats.total_steals(),
-            idle_ns: stats.total_idle_ns(),
-            queue_depth_max: stats.queue_depth_max,
-        }
-    }
-
     /// Fraction of the team's wall-clock budget spent idle (`0..=1`).
     pub fn idle_frac(&self, wall_seconds: f64) -> f64 {
         let budget_ns = wall_seconds * 1e9 * self.workers.max(1) as f64;
@@ -194,15 +181,15 @@ pub struct RunMetrics {
     pub phase_ns: BTreeMap<String, u64>,
     /// Counter name -> value (see `cocci_trace::Counter`).
     pub counters: BTreeMap<String, u64>,
-    /// Work-stealing pool health (absent for in-process batch runs that
-    /// never built a pool).
+    /// Worker pool health (absent for in-process batch runs that never
+    /// built a pool).
     pub pool: Option<PoolMetrics>,
 }
 
 impl RunMetrics {
     /// Build a metrics block from a collected trace snapshot plus an
     /// optional pool snapshot.
-    pub fn from_trace(data: &cocci_trace::TraceData, pool: Option<&PoolStats>) -> RunMetrics {
+    pub fn from_trace(data: &cocci_trace::TraceData, pool: Option<PoolMetrics>) -> RunMetrics {
         let mut phase_counts = BTreeMap::new();
         let mut phase_ns = BTreeMap::new();
         for (name, total) in data.phase_totals() {
@@ -218,7 +205,7 @@ impl RunMetrics {
             phase_counts,
             phase_ns,
             counters,
-            pool: pool.map(PoolMetrics::from_stats),
+            pool,
         }
     }
 
@@ -259,8 +246,8 @@ impl RunMetrics {
         if let Some(pool) = &self.pool {
             let _ = write!(
                 out,
-                ", \"pool\": {{\"workers\": {}, \"steals\": {}, \"idle_ns\": {}, \"queue_depth_max\": {}}}",
-                pool.workers, pool.steals, pool.idle_ns, pool.queue_depth_max
+                ", \"pool\": {{\"workers\": {}, \"idle_ns\": {}, \"queue_depth_max\": {}}}",
+                pool.workers, pool.idle_ns, pool.queue_depth_max
             );
         }
         out.push('}');
@@ -295,10 +282,6 @@ impl RunMetrics {
                     .get("workers")
                     .and_then(json::Value::as_f64)
                     .unwrap_or(0.0) as usize,
-                steals: po
-                    .get("steals")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0) as u64,
                 idle_ns: po
                     .get("idle_ns")
                     .and_then(json::Value::as_f64)
@@ -880,7 +863,6 @@ mod tests {
                 .collect(),
                 pool: Some(PoolMetrics {
                     workers: 4,
-                    steals: 7,
                     idle_ns: 50_000_000,
                     queue_depth_max: 12,
                 }),
@@ -1063,6 +1045,13 @@ mod tests {
         // 50ms idle over a 0.25s x 4-worker budget = 5% idle.
         assert!((pool.idle_frac(r.total_seconds) - 0.05).abs() < 1e-9);
         assert!((pool.utilization_pct(r.total_seconds) - 95.0).abs() < 1e-9);
+        // Older reports also carry a pool `steals` count; it is ignored.
+        let old = json::parse(
+            r#"{"pool": {"workers": 2, "steals": 9, "idle_ns": 5, "queue_depth_max": 3}}"#,
+        )
+        .unwrap();
+        let old = RunMetrics::from_json(&old).unwrap().pool.unwrap();
+        assert_eq!((old.workers, old.idle_ns, old.queue_depth_max), (2, 5, 3));
         // A report without a metrics block parses to None.
         let mut bare = sample();
         bare.metrics = None;

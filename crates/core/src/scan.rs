@@ -21,8 +21,8 @@
 
 use crate::context::FileContext;
 use crate::corpus::{drive, drive_memory, CorpusOptions, FileSource, Outcome};
-use crate::driver::{run_patch, ExecOptions};
-use crate::explain::{self, KillStage, RuleAttempt};
+use crate::driver::{prefilter_attempts, run_patch, ExecOptions};
+use crate::explain::{KillStage, RuleAttempt};
 use crate::findings::Finding;
 use crate::orchestrate::ApplyError;
 use crate::report::json::{self, Value};
@@ -127,9 +127,10 @@ pub struct ScanOutcome {
     pub witnesses: usize,
     /// First per-rule failure, prefixed with the rule id.
     pub error: Option<String>,
-    /// Every attempt this file saw — one `Prefilter` entry per pruned
-    /// rule plus the surviving rules' attempts, attributed to scan rule
-    /// ids. Feeds the report's `explain` block under `--explain`.
+    /// Every attempt this file saw — one `Prefilter` entry per transform
+    /// rule of each pruned scan rule plus the surviving rules' attempts,
+    /// attributed to scan rule ids. Feeds the report's `explain` block
+    /// under `--explain`.
     pub attempts: Vec<RuleAttempt>,
 }
 
@@ -215,26 +216,20 @@ fn scan_file(
         error: None,
         attempts: Vec::new(),
     };
-    // Pruned rules record their `Prefilter` funnel attempt here — the
-    // only point that knows a (file × rule) pair was killed before
-    // parsing.
+    // Pruned rules record their `Prefilter` funnel attempts here, one
+    // per transform rule as the apply job does — the only point that
+    // knows a (file × rule) pair was killed before parsing.
     let mut next = surviving.iter().copied().peekable();
     for (ri, rule) in set.rules.iter().enumerate() {
-        if next.next_if_eq(&ri).is_some() {
-            continue;
+        if next.next_if_eq(&ri).is_none() {
+            out.attempts.extend(prefilter_attempts(
+                &rule.compiled,
+                name,
+                text,
+                Some(&rule.meta.id),
+                opts.explain.as_deref(),
+            ));
         }
-        let id = &rule.meta.id;
-        let detail = opts
-            .explain
-            .as_ref()
-            .filter(|cfg| cfg.matches(name, id))
-            .map(|_| "merged prefilter: no required atom of this rule occurs".to_string());
-        explain::record_attempt(KillStage::Prefilter, name, id, detail.as_deref());
-        out.attempts.push(RuleAttempt {
-            rule: id.clone(),
-            stage: KillStage::Prefilter,
-            detail,
-        });
     }
     if !surviving.is_empty() {
         let mut ctx = FileContext::with_hash(name, text, hash);
@@ -291,12 +286,9 @@ pub fn scan_batch(
     files: &[(String, String)],
     opts: &ExecOptions,
 ) -> Vec<ScanOutcome> {
-    drive_memory(
-        files,
-        opts.threads,
-        || (),
-        |_, name, text, hash| scan_file(set, name, text, hash, opts),
-    )
+    drive_memory(files, opts.threads, |name, text, hash| {
+        scan_file(set, name, text, hash, opts)
+    })
 }
 
 /// Scan every file of `source` with `set`, streaming batches with
@@ -321,8 +313,7 @@ pub fn scan_corpus(
         source,
         opts,
         previous,
-        || (),
-        |_, name, text, hash| scan_file(set, name, text, hash, &exec),
+        |name, text, hash| scan_file(set, name, text, hash, &exec),
         |name, text, outcome| sink(name, text, &outcome),
     );
     report.patch_hash = set.hash;

@@ -12,9 +12,10 @@
 //! the sink has already received.
 
 use cocci_core::corpus::{BatchOptions, CorpusOptions, FileSource, MemorySource};
+use cocci_core::explain::RuleAttempt;
 use cocci_core::{
     apply_batch_opts, apply_to_corpus, scan_batch, scan_corpus, CompiledPatch, CompiledRuleSet,
-    ExecOptions, FileOutcome, FileReport, ScanOutcome,
+    ExecOptions, FileOutcome, FileReport, KillStage, ScanOutcome,
 };
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::gen::{self, CodebaseSpec};
@@ -310,16 +311,18 @@ fn use_case_corpus() -> Vec<(String, String)> {
     files
 }
 
-/// The per-file facts both jobs report, findings' rule label masked.
-fn run_digest(r: &FileReport) -> String {
+/// The per-file facts both jobs report, rule labels masked: the report
+/// row plus the stage of every funnel attempt, in order.
+fn run_digest(r: &FileReport, attempts: &[RuleAttempt]) -> String {
     let findings: Vec<_> = r
         .findings
         .iter()
         .map(|f| (&f.path, f.line, f.col, f.end_line, f.end_col, &f.message))
         .collect();
+    let stages: Vec<KillStage> = attempts.iter().map(|a| a.stage).collect();
     format!(
-        "{}|{}|m={}|w={}|s={}|{:?}|{:?}",
-        r.name, r.status, r.matches, r.witnesses, r.suppressed, findings, r.kill_stage
+        "{}|{}|m={}|w={}|s={}|{:?}|{:?}|{:?}",
+        r.name, r.status, r.matches, r.witnesses, r.suppressed, findings, r.kill_stage, stages
     )
 }
 
@@ -329,6 +332,11 @@ fn apply_matches_one_rule_scan() {
     let mut patches: Vec<(&str, &str)> = cocci_workloads::patches::ALL.to_vec();
     let quiet = report_rule("old_api");
     patches.push(("scan", &quiet));
+    // Two rules in one file: a file only one of them can match, and a
+    // file the prefilter prunes, which counts one attempt per rule.
+    let two = "@old@\nexpression e;\nposition p;\n@@\nold_api(e)@p;\n\
+               @al@\nexpression e;\nposition p;\n@@\nalpha(e)@p;\n";
+    patches.push(("two", two));
     let configs = [
         ExecOptions {
             threads: 2,
@@ -361,12 +369,12 @@ fn apply_matches_one_rule_scan() {
                 .map(|o| {
                     let r = FileReport::from_outcome(o);
                     seen.insert(format!("{}/{:?}", r.status, r.kill_stage));
-                    run_digest(&r)
+                    run_digest(&r, &o.attempts)
                 })
                 .collect();
             let scanned: Vec<String> = scan_batch(&set, &files, opts)
                 .iter()
-                .map(|o| run_digest(&o.to_report()))
+                .map(|o| run_digest(&o.to_report(), &o.attempts))
                 .collect();
             assert_eq!(applied, scanned, "{id} at {opts:?}");
         }

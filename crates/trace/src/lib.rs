@@ -8,17 +8,20 @@
 //!
 //! When enabled, each thread appends [`SpanEvent`]s to its own
 //! fixed-capacity ring buffer (oldest events are overwritten and counted
-//! as dropped), registered in a process-wide registry so [`collect`] can
-//! aggregate across threads after the workers are gone. Counters are
-//! plain global atomics. Timestamps are nanoseconds since a process-wide
-//! monotonic epoch, so spans from different threads order correctly in
-//! one timeline.
+//! as dropped) and adds each span to its own per-phase totals, which
+//! nothing overwrites. Both are registered in a process-wide registry so
+//! [`collect`] can aggregate across threads after the workers are gone.
+//! Counters are plain global atomics. Timestamps are nanoseconds since a
+//! process-wide monotonic epoch, so spans from different threads order
+//! correctly in one timeline.
 //!
 //! Output paths:
 //! - [`TraceData::write_chrome`] emits Chrome trace-event JSON (one lane
-//!   per recorded thread) viewable in Perfetto or about:tracing.
-//! - [`TraceData::phase_totals`] / [`TraceData::detail_totals`] feed the
-//!   `--stats` table and the report `metrics` block.
+//!   per recorded thread, the newest [`RING_CAPACITY`] spans of each)
+//!   viewable in Perfetto or about:tracing.
+//! - [`TraceData::phase_totals`] feeds the `--stats` table and the report
+//!   `metrics` block. It counts every span, however many a thread
+//!   recorded.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -121,6 +124,7 @@ pub enum Counter {
 }
 
 const COUNTER_COUNT: usize = 16;
+const PHASE_COUNT: usize = Phase::ALL.len();
 
 impl Counter {
     /// Every counter.
@@ -200,6 +204,8 @@ const COUNTER_ZERO: AtomicU64 = AtomicU64::new(0);
 static COUNTERS: [AtomicU64; COUNTER_COUNT] = [COUNTER_ZERO; COUNTER_COUNT];
 
 struct RingInner {
+    /// Count and time of every span recorded, by `Phase as usize`.
+    totals: [Total; PHASE_COUNT],
     buf: Vec<SpanEvent>,
     /// Next overwrite position once the buffer is full.
     next: usize,
@@ -248,6 +254,7 @@ fn with_local_ring(f: impl FnOnce(&mut RingInner)) {
                 tid,
                 name,
                 inner: Mutex::new(RingInner {
+                    totals: [Total::default(); PHASE_COUNT],
                     buf: Vec::new(),
                     next: 0,
                     dropped: 0,
@@ -266,6 +273,9 @@ fn with_local_ring(f: impl FnOnce(&mut RingInner)) {
 
 fn record(event: SpanEvent) {
     with_local_ring(|inner| {
+        let total = &mut inner.totals[event.phase as usize];
+        total.count += 1;
+        total.total_ns += event.dur_ns;
         if inner.buf.len() < RING_CAPACITY {
             inner.buf.push(event);
         } else {
@@ -328,6 +338,7 @@ pub fn reset() {
     }
     for ring in registry().lock().unwrap().iter() {
         let mut inner = ring.inner.lock().unwrap();
+        inner.totals = [Total::default(); PHASE_COUNT];
         inner.buf.clear();
         inner.next = 0;
         inner.dropped = 0;
@@ -400,11 +411,14 @@ pub fn counter_value(counter: Counter) -> u64 {
     COUNTERS[counter as usize].load(Ordering::Relaxed)
 }
 
-/// All spans recorded by one thread.
+/// What one thread recorded.
 #[derive(Clone, Debug)]
 pub struct Lane {
     pub tid: u64,
     pub name: String,
+    /// Count and time of every span the thread recorded, dropped ones
+    /// included, indexed like [`Phase::ALL`].
+    pub totals: [Total; PHASE_COUNT],
     /// In recording order (oldest surviving span first).
     pub spans: Vec<SpanEvent>,
     /// Spans overwritten because the ring filled up.
@@ -415,7 +429,7 @@ pub struct Lane {
     pub instants_dropped: u64,
 }
 
-/// Aggregate time + count for one phase or one detail label.
+/// Aggregate time + count for one phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Total {
     pub count: u64,
@@ -453,6 +467,7 @@ pub fn collect() -> TraceData {
         lanes.push(Lane {
             tid: ring.tid,
             name: ring.name.clone(),
+            totals: inner.totals,
             spans,
             dropped: inner.dropped,
             instants,
@@ -478,29 +493,17 @@ impl TraceData {
         self.lanes.iter().map(|l| l.dropped).sum()
     }
 
-    /// Per-phase totals across all lanes, keyed by [`Phase::name`].
+    /// Per-phase totals across all lanes, keyed by [`Phase::name`]:
+    /// every span recorded, including those the rings dropped. Phases
+    /// with no span are absent.
     pub fn phase_totals(&self) -> BTreeMap<&'static str, Total> {
         let mut totals: BTreeMap<&'static str, Total> = BTreeMap::new();
         for lane in &self.lanes {
-            for span in &lane.spans {
-                let t = totals.entry(span.phase.name()).or_default();
-                t.count += 1;
-                t.total_ns += span.dur_ns;
-            }
-        }
-        totals
-    }
-
-    /// Totals for labelled spans, keyed by detail string (rule id),
-    /// summed across phases and lanes.
-    pub fn detail_totals(&self) -> BTreeMap<String, Total> {
-        let mut totals: BTreeMap<String, Total> = BTreeMap::new();
-        for lane in &self.lanes {
-            for span in &lane.spans {
-                if let Some(detail) = &span.detail {
-                    let t = totals.entry(detail.to_string()).or_default();
-                    t.count += 1;
-                    t.total_ns += span.dur_ns;
+            for (phase, lane_total) in Phase::ALL.iter().zip(&lane.totals) {
+                if lane_total.count > 0 {
+                    let t = totals.entry(phase.name()).or_default();
+                    t.count += lane_total.count;
+                    t.total_ns += lane_total.total_ns;
                 }
             }
         }
@@ -710,6 +713,35 @@ mod tests {
     }
 
     #[test]
+    fn phase_totals_count_spans_the_ring_dropped() {
+        let _g = lock();
+        set_enabled(true);
+        reset();
+        let n = RING_CAPACITY + 10;
+        std::thread::spawn(move || {
+            for _ in 0..n {
+                let _s = span(Phase::Parse);
+            }
+        })
+        .join()
+        .unwrap();
+        let data = collect();
+        set_enabled(false);
+        assert_eq!(data.phase_totals()["parse"].count, n as u64);
+        let lane = data
+            .lanes
+            .iter()
+            .find(|l| !l.spans.is_empty())
+            .expect("one lane recorded");
+        assert_eq!(lane.spans.len(), RING_CAPACITY);
+        assert_eq!(lane.dropped, 10);
+        // Lane totals are indexed by `Phase as usize`, in `ALL` order.
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*phase as usize, i);
+        }
+    }
+
+    #[test]
     fn cross_thread_aggregation_sums_lanes() {
         let _g = lock();
         set_enabled(true);
@@ -729,10 +761,16 @@ mod tests {
         assert_eq!(data.counters["witnesses_forked"], 40);
         let totals = data.phase_totals();
         assert_eq!(totals["flow_match"].count, 40);
-        let by_rule = data.detail_totals();
-        assert_eq!(by_rule.len(), 4);
         for t in 0..4 {
-            assert_eq!(by_rule[&format!("rule-{t}")].count, 10);
+            let label = format!("rule-{t}");
+            let lanes: Vec<&Lane> = data
+                .lanes
+                .iter()
+                .filter(|l| l.spans.iter().any(|s| s.detail.as_deref() == Some(&label)))
+                .collect();
+            assert_eq!(lanes.len(), 1, "{label} recorded on one thread");
+            assert_eq!(lanes[0].spans.len(), 10);
+            assert_eq!(lanes[0].totals[Phase::FlowMatch as usize].count, 10);
         }
         // Four distinct lanes recorded spans.
         let active = data.lanes.iter().filter(|l| !l.spans.is_empty()).count();

@@ -3,6 +3,9 @@
 //! recorded at least one span, and that the per-phase duration totals
 //! reconcile (within 5%) with the `metrics` block of the run's
 //! `--report` JSON — the three telemetry surfaces must tell one story.
+//! The trace file keeps the newest `cocci_trace::RING_CAPACITY` spans
+//! per thread while the report counts every span, so the check is meant
+//! for runs where no thread recorded more than that.
 //!
 //! ```text
 //! cargo run -p cocci-examples --example trace_check -- TRACE.json REPORT.json
@@ -93,9 +96,10 @@ fn main() -> ExitCode {
         return fail(&format!("{report_path}: report has no metrics block"));
     };
 
-    // Both surfaces snapshot the same rings after the workers join, so
-    // span counts must agree exactly and durations within rounding; the
-    // 5% budget is pure slack for the µs quantisation of the trace file.
+    // Both surfaces are snapshotted after the workers join and, with no
+    // span dropped, hold the same spans, so span counts must agree
+    // exactly and durations within rounding; the 5% budget is pure slack
+    // for the µs quantisation of the trace file.
     for phase in cocci_trace::Phase::ALL {
         let name = phase.name();
         let (trace_count, trace_ns) = spans.get(name).copied().unwrap_or((0, 0));
